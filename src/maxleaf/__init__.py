@@ -1,5 +1,5 @@
 """Maximum-leaf spanning trees: linear-time greedy solver with a per-run
-quality certificate, plus an exact brute-force oracle for desk-scale graphs."""
+quality certificate, plus two exact oracles for desk-scale graphs."""
 
 from .certificate import (Certificate, CertificateError, LemmaReport, RankForest,
                           assign_ranks, build_forest, certify, check_lemmas,
@@ -7,7 +7,8 @@ from .certificate import (Certificate, CertificateError, LemmaReport, RankForest
 from .generate import FAMILIES, InfeasibleSpecError, InstanceSpec, generate
 from .graph import (Graph, GraphFormatError, is_connected, parse, serialize,
                     to_dot)
-from .oracle import CompareResult, OracleResult, compare, max_leaf_exact
+from .oracle import (CompareResult, OracleDisagreementError, OracleResult,
+                     compare, max_leaf_cds, max_leaf_exact)
 from .solver import (DisconnectedGraphError, ExpansionStep, ExpansionTrace,
                      SpanningTree, StartPolicy, TreeCheck, leaf_count,
                      pick_start, tree, verify_spanning_tree)
@@ -19,7 +20,8 @@ __all__ = [
     "compute_certificate",
     "FAMILIES", "InfeasibleSpecError", "InstanceSpec", "generate",
     "Graph", "GraphFormatError", "is_connected", "parse", "serialize", "to_dot",
-    "CompareResult", "OracleResult", "compare", "max_leaf_exact",
+    "CompareResult", "OracleDisagreementError", "OracleResult", "compare",
+    "max_leaf_cds", "max_leaf_exact",
     "DisconnectedGraphError", "ExpansionStep", "ExpansionTrace",
     "SpanningTree", "StartPolicy", "TreeCheck", "leaf_count", "pick_start",
     "tree", "verify_spanning_tree",

@@ -5,7 +5,7 @@ Every command reads exactly one input source, a file path ('-' for stdin)
 or a generator spec via --gen, and writes diff-stable text to stdout.
 Exit codes: 0 success, 1 usage/infeasible parameters, 2 parse error,
 3 disconnected input, 4 certificate or lemma violation, 5 oracle budget
-exhausted.
+exhausted, 6 the two exact oracles disagree.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .certificate import CertificateError, certify
 from .generate import FAMILIES, InfeasibleSpecError, InstanceSpec, generate
 from .graph import FORMATS, Graph, GraphFormatError, is_connected, parse, serialize, to_dot
-from .oracle import DEFAULT_BUDGET, compare, max_leaf_exact
+from .oracle import DEFAULT_BUDGET, OracleDisagreementError, compare, max_leaf_exact
 from .solver import DisconnectedGraphError, StartPolicy, leaf_count, tree
 from .tightness import tight_search
 
@@ -27,6 +27,7 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_CERTIFICATE = 4
 EXIT_BUDGET = 5
+EXIT_ORACLE_DISAGREEMENT = 6
 
 
 def parse_gen_spec(text: str, seed: int) -> InstanceSpec:
@@ -252,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    except OracleDisagreementError as exc:
+        print(f"oracle disagreement: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_DISAGREEMENT
     except (InfeasibleSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,17 +1,31 @@
-"""Brute-force maximum-leaf spanning tree oracle for desk-scale graphs.
+"""Exact maximum-leaf spanning trees for small graphs: two independent engines.
 
-Spanning trees are enumerated by deciding each edge in lexicographic order:
-the include branch is skipped when the edge would close a cycle, the exclude
-branch when the remaining undecided edges can no longer connect the graph.
-Every spanning tree is therefore visited exactly once, which makes the
-enumeration count itself a testable quantity (n^(n-2) on complete graphs).
+* max_leaf_exact enumerates spanning trees by deciding each edge in
+  lexicographic order: the include branch is skipped when the edge would
+  close a cycle, the exclude branch when the remaining undecided edges can
+  no longer connect the graph. Every spanning tree is visited exactly once,
+  which makes the enumeration count itself a testable quantity (n^(n-2) on
+  complete graphs). Intended for n <= 12 or so; a budget caps the number of
+  trees examined. compare() and the CLI `oracle` and `compare` commands use
+  it, since they report that count and honour --budget.
 
-Intended for n <= 12 or so; a budget caps the number of trees examined.
+* max_leaf_cds uses the identity max leaves = n - gamma_c(G) for connected
+  G with n >= 3, where gamma_c is the size of a minimum connected dominating
+  set (Fernau et al., "An exact algorithm for the maximum leaf spanning tree
+  problem", TCS 2011). Cut vertices lie in every connected dominating set and
+  degree-1 vertices never need to, so only the remaining vertices are
+  searched, as bitmask subsets in increasing size. The cost grows
+  exponentially in the number of those non-cut vertices, not in the number
+  of spanning trees; tight_search uses it for every admitted trial.
+
+Neither engine calls the greedy solver or the certificate: they are the
+ground truth those are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .certificate import Certificate, LemmaReport, certify
 from .graph import Graph, is_connected
@@ -27,6 +41,10 @@ class OracleResult:
     witness: SpanningTree
     trees_examined: int
     budget_exhausted: bool = False
+
+
+class OracleDisagreementError(RuntimeError):
+    """The two exact engines gave incompatible answers on the same graph."""
 
 
 class _Budget(Exception):
@@ -148,6 +166,130 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     if best_leaves < 0:
         raise DisconnectedGraphError("no spanning tree found")
     return OracleResult(best_leaves, _tree_from_edges(n, best_edges), trees, exhausted)
+
+
+def _articulation_points(adjacency: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Iterative Tarjan low-point pass from vertex 0.
+
+    Returns a bitmask of the cut vertices and the number of vertices
+    reached, which equals n exactly when the graph is connected.
+    """
+    n = len(adjacency)
+    disc = [0] * n                 # discovery time, 0 = not yet reached
+    low = [0] * n
+    disc[0] = low[0] = reached = 1
+    cut = root_children = 0
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        v, p, it = stack[-1]
+        for w in it:
+            if not disc[w]:
+                reached += 1
+                disc[w] = low[w] = reached
+                stack.append((w, v, iter(adjacency[w])))
+                break
+            if w != p and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if p == 0:
+                root_children += 1
+            elif p > 0:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    cut |= 1 << p
+    if root_children >= 2:
+        cut |= 1
+    return cut, reached
+
+
+def _induced_connected(mask: int, nbr: list[int]) -> bool:
+    """True iff the vertices in the nonempty bitmask induce a connected subgraph."""
+    reached = frontier = mask & -mask
+    while frontier:
+        grow = 0
+        while frontier:
+            bit = frontier & -frontier
+            grow |= nbr[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = grow & mask & ~reached
+        reached |= frontier
+    return reached == mask
+
+
+def max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
+    """Maximum leaf count of g and a witness tree, via a minimum connected
+    dominating set D.
+
+    The witness is a BFS tree inside D (from its lowest vertex, neighbours in
+    adjacency order) with every other vertex attached as a leaf to its first
+    neighbour in D. Degenerate sizes match max_leaf_exact: n=1 gives 0 and
+    n=2 gives 2. Raises DisconnectedGraphError on disconnected input.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    if n == 1:
+        return 0, SpanningTree(0, (None,), frozenset())
+    cut, reached = _articulation_points(adjacency)
+    if reached != n:
+        raise DisconnectedGraphError("oracle requires a connected graph")
+    if n == 2:
+        return 2, SpanningTree(0, (None, 0), frozenset((0, 1)))
+
+    nbr = [0] * n
+    closed = [0] * n
+    for v, row in enumerate(adjacency):
+        mask = 0
+        for w in row:
+            mask |= 1 << w
+        nbr[v] = mask
+        closed[v] = mask | 1 << v
+    full = (1 << n) - 1
+    forced_dom = 0
+    candidates = []
+    for v in range(n):
+        if cut >> v & 1:
+            forced_dom |= closed[v]
+        elif len(adjacency[v]) >= 2:
+            candidates.append(v)
+
+    # Every non-leaf vertex together is connected and dominating (n >= 3),
+    # so the search ends by size len(candidates) at the latest.
+    d = 0
+    for k in range(0 if cut else 1, len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            dom = forced_dom
+            mask = cut
+            for v in combo:
+                dom |= closed[v]
+                mask |= 1 << v
+            if dom == full and _induced_connected(mask, nbr):
+                d = mask
+                break
+        if d:
+            break
+
+    root = (d & -d).bit_length() - 1
+    parent: list[int | None] = [None] * n
+    seen = 1 << root
+    order = [root]
+    for x in order:
+        for y in adjacency[x]:
+            if d >> y & 1 and not seen >> y & 1:
+                seen |= 1 << y
+                parent[y] = x
+                order.append(y)
+    # A minimum D has no tree leaf of its own: one could be dropped from D.
+    leaves = []
+    for v in range(n):
+        if not d >> v & 1:
+            leaves.append(v)
+            for y in adjacency[v]:
+                if d >> y & 1:
+                    parent[v] = y
+                    break
+    return len(leaves), SpanningTree(root, tuple(parent), frozenset(leaves))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 The solver grows a tree from a start vertex of degree >= 2, always expanding
 at the most promising tree vertex: first any vertex with >= 2 neighbors
 outside the tree (a W2 expansion adds them all as leaves), then a vertex
-whose single outside neighbor itself leads on to >= 2 new vertices (W1),
-and only as a last resort the most recently added vertex with a single
-outside neighbor (W0), which grows a path depth-first.
+whose single outside neighbor does not itself have exactly one outside
+neighbor (W1): that neighbor either has none, so it joins as a leaf for
+good, or has >= 2 and becomes a W2 candidate. Only as a last resort comes
+the most recently added vertex with a single outside neighbor (W0), which
+grows a path depth-first.
 
 Scheduling uses two FIFO queues (w2, w1) and one LIFO stack (w0) over the
 current leaves plus a per-vertex count of neighbors outside the tree, so a

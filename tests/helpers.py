@@ -1,7 +1,10 @@
-"""Shared test helpers: an independent step-semantics replayer and
-hypothesis strategies for random connected graphs."""
+"""Shared test helpers: an independent step-semantics replayer, the
+instance sets of the acceptance campaigns and hypothesis strategies for
+random connected graphs."""
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import strategies as st
 
@@ -34,6 +37,9 @@ def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
             assert len(outside) == 1
             assert all(outside_count(w) < 2 for w in in_t), \
                 f"{step.case_label} step at {u} while a 2+-expansion exists"
+            if step.case_label == "W1":
+                assert outside_count(outside[0]) != 1, \
+                    f"W1 step at {u} onto {outside[0]}, which has one outside neighbor"
             if step.case_label == "W0":
                 # No waiting vertex may still lead on to a double expansion.
                 for w in in_t:
@@ -55,6 +61,34 @@ def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
         if n >= 3:
             assert i + 1 < len(trace.steps), "W0 step ended the run"
             assert trace.steps[i + 1].center == step.added[0]
+
+
+def atlas_connected_graphs() -> list[Graph]:
+    """Every connected graph on 2..7 vertices up to isomorphism (995 graphs)."""
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    graphs = []
+    for ag in graph_atlas_g():
+        n = ag.number_of_nodes()
+        if n < 2 or not nx.is_connected(ag):
+            continue
+        relabel = {v: i for i, v in enumerate(sorted(ag.nodes()))}
+        edges = sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in ag.edges())
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+CAMPAIGN_SEED = 0xA11CE
+
+
+def campaign_schedule(size: int):
+    """The first `size` specs of the seeded criterion-2 campaign schedule."""
+    rng = random.Random(CAMPAIGN_SEED)
+    for _ in range(size):
+        n = rng.randint(3, 10)
+        m = rng.randint(n - 1, min(20, n * (n - 1) // 2))
+        yield InstanceSpec("random_connected", (n, m), rng.getrandbits(64))
 
 
 def tree_degrees(t: SpanningTree) -> list[int]:

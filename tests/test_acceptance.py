@@ -12,13 +12,13 @@ and the degenerate case carries no information.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from maxleaf import (Graph, InstanceSpec, compare, generate, leaf_count,
+from maxleaf import (InstanceSpec, compare, generate, leaf_count,
                      max_leaf_exact, tight_search, tree)
 from maxleaf.cli import main
+
+from helpers import atlas_connected_graphs, campaign_schedule
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -26,21 +26,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {num} {name}: {status}{suffix}")
     assert ok, f"criterion {num} {name} failed: {detail}"
-
-
-def atlas_connected_graphs():
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
-
-    graphs = []
-    for ag in graph_atlas_g():
-        n = ag.number_of_nodes()
-        if n < 2 or not nx.is_connected(ag):
-            continue
-        relabel = {v: i for i, v in enumerate(sorted(ag.nodes()))}
-        edges = sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in ag.edges())
-        graphs.append(Graph.from_edges(n, edges))
-    return graphs
 
 
 def test_criterion_1_exhaustive_small_instance_guarantee():
@@ -58,15 +43,6 @@ def test_criterion_1_exhaustive_small_instance_guarantee():
 
 
 CAMPAIGN_SIZE = 10_000
-CAMPAIGN_SEED = 0xA11CE
-
-
-def campaign_schedule():
-    rng = random.Random(CAMPAIGN_SEED)
-    for _ in range(CAMPAIGN_SIZE):
-        n = rng.randint(3, 10)
-        m = rng.randint(n - 1, min(20, n * (n - 1) // 2))
-        yield InstanceSpec("random_connected", (n, m), rng.getrandbits(64))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +52,7 @@ def campaign_summary():
     instances = 0
     guarantee_violations = []
     lemma_failures = []
-    for spec in campaign_schedule():
+    for spec in campaign_schedule(CAMPAIGN_SIZE):
         g = generate(spec)
         r = compare(g)
         instances += 1

@@ -208,3 +208,14 @@ def test_missing_input_exit_1(capsys):
 def test_unreadable_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/path.edgelist")
     assert code == 1
+
+
+def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):
+    from maxleaf import tightness
+    monkeypatch.setattr(tightness, "max_leaf_cds", lambda g: (0, None))
+    code, out, err = run_cli(capsys, "tight-search", "--n-max", "8", "--trials", "20",
+                             "--out", str(tmp_path / "t.edgelist"))
+    assert code == 6
+    assert out == ""
+    assert err.startswith("oracle disagreement: ")
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import pytest
 
-from maxleaf import compare, leaf_count, max_leaf_exact, tight_search, tree
+from maxleaf import (OracleDisagreementError, compare, leaf_count, max_leaf_exact,
+                     tight_search, tightness, tree)
 
 
 def test_same_seed_gives_identical_best_instance():
@@ -56,3 +57,57 @@ def test_parameter_validation():
         tight_search(3, 10, seed=0)
     with pytest.raises(ValueError):
         tight_search(8, 0, seed=0)
+
+
+# Recorded with the spanning-tree enumerator as the per-trial oracle, before
+# the connected-dominating-set engine took over; the search must not change.
+GOLDEN_12_2000 = {
+    1: ((3, 5, 10, [(0, 1), (0, 7), (1, 2), (1, 8), (2, 3), (2, 7), (3, 5), (3, 8),
+                    (4, 7), (4, 9), (5, 6), (6, 9)]), 1, 503),
+    2: ((3, 5, 6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
+                   (3, 5), (4, 5)]), 1, 211),
+    3: ((3, 5, 8, [(0, 7), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5),
+                   (4, 7), (5, 6), (6, 7)]), 1, 425),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_12_2000))
+def test_search_results_are_pinned(seed):
+    best, slack, calls = GOLDEN_12_2000[seed]
+    result = tight_search(12, 2000, seed=seed)
+    b = result.best
+    assert (b.alg_leaves, b.opt_leaves, b.graph.n, b.graph.edge_list()) == best
+    assert result.tight.slack == slack
+    assert result.oracle_calls == calls
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    from maxleaf.cli import main
+
+    code = main(["tight-search", "--n-max", "8", "--trials", "200", "--seed", "4",
+                 "--out", str(tmp_path / "t.edgelist")])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "7 10\n0 1\n0 5\n1 4\n1 6\n2 3\n2 5\n3 6\n4 5\n4 6\n5 6\n"
+        "alg=3\nopt=5\nratio=1.6667\n")
+
+
+def test_exhausted_confirmation_accepts_a_partial_best(monkeypatch):
+    base = tight_search(10, 300, seed=5)
+    monkeypatch.setattr(tightness, "PER_TRIAL_TREE_BUDGET", 1)
+    again = tight_search(10, 300, seed=5)
+    assert again.best.graph == base.best.graph
+    assert again.oracle_calls == base.oracle_calls
+
+
+@pytest.mark.parametrize("budget, wrong", [
+    (tightness.PER_TRIAL_TREE_BUDGET, lambda opt: opt + 1),   # finished, differs
+    (1, lambda opt: 0),                                       # partial best above
+])
+def test_confirmation_rejects_a_wrong_optimum(monkeypatch, budget, wrong):
+    real = tightness.max_leaf_cds
+    monkeypatch.setattr(tightness, "PER_TRIAL_TREE_BUDGET", budget)
+    monkeypatch.setattr(tightness, "max_leaf_cds",
+                        lambda g: (wrong(real(g)[0]), None))
+    with pytest.raises(OracleDisagreementError):
+        tight_search(10, 50, seed=5)
