@@ -223,6 +223,11 @@ class LemmaReport:
                 len(self.branch_rank), len(self.unique_over_leaf))
 
 
+def _edge_order(pair: tuple[int, int]) -> tuple[int, int, bool]:
+    a, b = pair
+    return (a, b, False) if a < b else (b, a, True)
+
+
 def check_lemmas(g: Graph, rank: list[int], f: RankForest,
                  max_path_checks: int = 10_000_000) -> LemmaReport:
     """Exhaustively check the four structural facts the bound rests on.
@@ -236,52 +241,53 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest,
        leaf, the unique-rank endpoint has the strictly higher rank.
 
     The length-2 path scan is capped at max_path_checks pair checks; the
-    report is flagged truncated if the cap is hit.
+    report is flagged truncated if the cap is hit. g must be a simple graph
+    with symmetric adjacency (Graph.validate). One pass over the vertices
+    in id order does all four checks in O(n + m).
     """
-    unique = f.unique_rank_vertices()
-    leaves_f = f.forest_leaves()
-    f_degree = f.f_degree
+    n = g.n
     adjacency = g.adjacency
+    f_degree = f.f_degree
+    unique = bytearray(n)
+    for comp in f.components:
+        if len(comp) == 1:
+            unique[comp[0]] = 1
+    leaf_f = bytes(d == 1 for d in f_degree)
 
     local_degree = []
+    upward_neighbor = []
+    branch_rank = []
+    unique_over_leaf = []
     truncated = False
     checks = 0
-    # Contrapositive scan: only unique-rank centers of degree >= 3 can violate.
-    for v in sorted(unique):
-        if len(adjacency[v]) < 3:
+    for u in range(n):
+        ru = rank[u]
+        nbrs = adjacency[u]
+        higher = [v for v in nbrs if rank[v] > ru]
+        if higher:
+            if len(higher) > 1:
+                upward_neighbor.append((u, higher[0], higher[1]))
+            if f_degree[u] >= 2:
+                branch_rank.extend((u, v) for v in higher)
+        if not unique[u]:
             continue
-        rv = rank[v]
-        lower_unique = [u for u in adjacency[v] if u in unique and rank[u] < rv]
+        unique_over_leaf.extend((u, v) for v in nbrs if leaf_f[v] and ru <= rank[v])
+        # Contrapositive scan: only unique-rank centers of degree >= 3 can violate.
+        if len(nbrs) < 3:
+            continue
+        lower_unique = [w for w in nbrs if unique[w] and rank[w] < ru]
         if not lower_unique:
             continue
-        higher = [w for w in adjacency[v] if rank[w] > rv]
         checks += len(lower_unique) * len(higher)
         if checks > max_path_checks:
             truncated = True
-            break
-        for u in lower_unique:
-            for w in higher:
-                local_degree.append((u, v, w))
+        else:
+            local_degree.extend((w, u, v) for w in lower_unique for v in higher)
 
-    upward_neighbor = []
-    for u in range(g.n):
-        ru = rank[u]
-        higher = [v for v in adjacency[u] if rank[v] > ru]
-        if len(higher) > 1:
-            upward_neighbor.append((u, higher[0], higher[1]))
-
-    branch_rank = []
-    unique_over_leaf = []
-    for u, v in g.edge_list():
-        if f_degree[u] >= 2 and rank[u] < rank[v]:
-            branch_rank.append((u, v))
-        if f_degree[v] >= 2 and rank[v] < rank[u]:
-            branch_rank.append((v, u))
-        if u in unique and v in leaves_f and rank[u] <= rank[v]:
-            unique_over_leaf.append((u, v))
-        if v in unique and u in leaves_f and rank[v] <= rank[u]:
-            unique_over_leaf.append((v, u))
-
+    # Both lists are empty on a correct run; otherwise list them in the
+    # order of g.edge_list(), lower endpoint first within an edge.
+    branch_rank.sort(key=_edge_order)
+    unique_over_leaf.sort(key=_edge_order)
     return LemmaReport(tuple(local_degree), tuple(upward_neighbor),
                        tuple(branch_rank), tuple(unique_over_leaf), truncated)
 

@@ -7,6 +7,15 @@ Vertices are dense 0-based integers. Two text formats are supported:
 * dimacs   -- "c" comment lines, one "p edge n m" line, then m lines
   "e u v" with 1-based ids (shifted to 0-based internally).
 
+Edgelist text in the canonical form that serialize() writes is read in
+bulk: ASCII only, no '#', no blank lines, every line two tokens joined by
+exactly one space, '\n' as the only other separator, and at most 2m + 1
+declared vertices. That path does one split(), one map(int), range checks
+with min/max, and one duplicate and self-loop check on the built adjacency
+rows. Any other text, and canonical text that fails a check, goes to the
+line-by-line parser, which accepts exactly the same graphs. Errors, with
+their messages and line numbers, therefore always come from the line parser.
+
 Graphs are immutable after construction and safe to share between
 concurrent readers.
 """
@@ -184,6 +193,45 @@ def _parse_edgelist(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# Every ASCII byte but the ones that can separate or comment out tokens; what
+# is left after deleting these is the text's separator sequence.
+_TOKEN_BYTES = bytes(c for c in range(128) if c not in b" \n\t\r\x0b\x0c\x1c\x1d\x1e\x1f#")
+
+
+def _parse_edgelist_bulk(text: str) -> Graph | None:
+    """The canonical-text fast path of parse(); None where the line parser must run."""
+    if not text.isascii():
+        return None
+    # Canonical text, with its final "\n" put back if missing, is "u v\n"
+    # lines: its separators alternate " " and "\n", and each of the pieces
+    # before them, one per separator, is a non-empty token.
+    seps = text.encode("ascii").translate(None, _TOKEN_BYTES)
+    if not text.endswith("\n"):
+        seps += b"\n"
+    lines = len(seps) // 2
+    if lines == 0 or seps != b" \n" * lines:
+        return None
+    try:
+        values = list(map(int, text.split()))
+    except ValueError:
+        return None
+    if len(values) != len(seps):
+        return None
+    n, m = values[0], values[1]
+    ids = values[2:]
+    # n <= 2m + 1 keeps what is built before the checks below in proportion
+    # to the text; a connected graph always qualifies.
+    if not 1 <= n <= len(ids) + 1 or m != lines - 1:
+        return None
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        return None
+    g = Graph.from_edges(n, zip(ids[0::2], ids[1::2]))
+    # A duplicate edge, or a self-loop (u twice in row u), shrinks a row's set.
+    if sum(map(len, map(set, g.adjacency))) != 2 * m:
+        return None
+    return g
+
+
 def _parse_dimacs(text: str) -> Graph:
     n = m = -1
     edges: list[tuple[int, int]] = []
@@ -233,7 +281,8 @@ FORMATS = ("edgelist", "dimacs")
 def parse(text: str, fmt: str = "edgelist") -> Graph:
     """Parse a graph description; raises GraphFormatError with a line number."""
     if fmt == "edgelist":
-        return _parse_edgelist(text)
+        g = _parse_edgelist_bulk(text)
+        return g if g is not None else _parse_edgelist(text)
     if fmt == "dimacs":
         return _parse_dimacs(text)
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")

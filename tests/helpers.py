@@ -8,7 +8,8 @@ import random
 
 from hypothesis import strategies as st
 
-from maxleaf import ExpansionTrace, Graph, InstanceSpec, SpanningTree, generate
+from maxleaf import (ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
+                     SpanningTree, generate)
 
 
 def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
@@ -89,6 +90,55 @@ def campaign_schedule(size: int):
         n = rng.randint(3, 10)
         m = rng.randint(n - 1, min(20, n * (n - 1) // 2))
         yield InstanceSpec("random_connected", (n, m), rng.getrandbits(64))
+
+
+def shuffled_edgelist(g: Graph, rng: random.Random) -> str:
+    """Edgelist text of g with edges in random order and orientation."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_list()]
+    rng.shuffle(edges)
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest,
+                           max_path_checks: int = 10_000_000) -> LemmaReport:
+    """Sort-based lemma audit over frozensets and g.edge_list(); check_lemmas must match it."""
+    unique = f.unique_rank_vertices()
+    leaves_f = f.forest_leaves()
+    adjacency = g.adjacency
+    local_degree = []
+    truncated = False
+    checks = 0
+    for v in sorted(unique):
+        if len(adjacency[v]) < 3:
+            continue
+        rv = rank[v]
+        lower_unique = [u for u in adjacency[v] if u in unique and rank[u] < rv]
+        if not lower_unique:
+            continue
+        higher = [w for w in adjacency[v] if rank[w] > rv]
+        checks += len(lower_unique) * len(higher)
+        if checks > max_path_checks:
+            truncated = True
+            break
+        local_degree.extend((u, v, w) for u in lower_unique for w in higher)
+    upward_neighbor = []
+    for u in range(g.n):
+        higher = [v for v in adjacency[u] if rank[v] > rank[u]]
+        if len(higher) > 1:
+            upward_neighbor.append((u, higher[0], higher[1]))
+    branch_rank = []
+    unique_over_leaf = []
+    for u, v in g.edge_list():
+        if f.f_degree[u] >= 2 and rank[u] < rank[v]:
+            branch_rank.append((u, v))
+        if f.f_degree[v] >= 2 and rank[v] < rank[u]:
+            branch_rank.append((v, u))
+        if u in unique and v in leaves_f and rank[u] <= rank[v]:
+            unique_over_leaf.append((u, v))
+        if v in unique and u in leaves_f and rank[v] <= rank[u]:
+            unique_over_leaf.append((v, u))
+    return LemmaReport(tuple(local_degree), tuple(upward_neighbor),
+                       tuple(branch_rank), tuple(unique_over_leaf), truncated)
 
 
 def tree_degrees(t: SpanningTree) -> list[int]:

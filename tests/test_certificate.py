@@ -1,13 +1,15 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
-                     InstanceSpec, assign_ranks, build_forest, certify,
-                     check_lemmas, compute_certificate, generate, tree)
+                     InstanceSpec, LemmaReport, RankForest, assign_ranks,
+                     build_forest, certify, check_lemmas, compute_certificate,
+                     generate, parse, tree)
 
-from helpers import connected_graphs
+from helpers import connected_graphs, reference_check_lemmas, shuffled_edgelist
 
 
 def run_pipeline(g):
@@ -214,6 +216,49 @@ def test_check_lemmas_flags_corrupt_ranks_and_respects_the_cap():
     capped = check_lemmas(g, bogus_rank, all_singletons, max_path_checks=0)
     assert capped.truncated
     assert capped.local_degree == ()
+
+
+def test_check_lemmas_golden_report_order():
+    # Edges in shuffled order and orientation, so adjacency rows are not
+    # ascending; the ranks are a shuffle of the genuine ones. The expected
+    # report was recorded with the sort-based audit, reference_check_lemmas.
+    g = parse("12 22\n8 1\n11 1\n0 3\n11 10\n7 6\n4 2\n2 11\n9 2\n3 4\n2 3\n"
+              "4 6\n3 5\n1 9\n9 0\n5 1\n8 10\n2 7\n5 0\n10 9\n4 9\n6 11\n0 11\n")
+    assert g.adjacency[1] == (8, 11, 9, 5)
+    _, _, rank, forest = run_pipeline(g)
+    assert rank == [1, 1, 1, 1, 1, 1, 4, 3, 2, 1, 1, 1]
+    assert forest.components == ((0, 1, 2, 3, 4, 5, 9, 10, 11), (6,), (7,), (8,))
+    assert forest.f_degree == (4, 1, 1, 3, 1, 1, 0, 0, 0, 3, 1, 1)
+    bogus = [1, 1, 1, 1, 3, 4, 2, 1, 1, 1, 1, 1]
+    expected = LemmaReport(
+        local_degree=((7, 6, 4),),
+        upward_neighbor=((3, 4, 5),),
+        branch_rank=((0, 5), (3, 4), (3, 5), (9, 4)),
+        unique_over_leaf=((8, 1), (7, 2), (6, 4), (8, 10)))
+    assert check_lemmas(g, bogus, forest) == expected
+    capped = LemmaReport((), expected.upward_neighbor, expected.branch_rank,
+                         expected.unique_over_leaf, truncated=True)
+    assert check_lemmas(g, bogus, forest, max_path_checks=0) == capped
+
+
+def test_check_lemmas_matches_the_reference_audit():
+    rng = random.Random(3)
+    for seed in range(300):
+        n = rng.randint(3, 20)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+        g = parse(shuffled_edgelist(
+            generate(InstanceSpec("random_connected", (n, m), seed)), rng))
+        _, _, rank, forest = run_pipeline(g)
+        shuffled = rank[:]
+        rng.shuffle(shuffled)
+        arbitrary = RankForest(
+            components=tuple((v,) for v in range(n) if rng.random() < 0.4),
+            component_of=tuple(range(n)),
+            f_degree=tuple(rng.randint(0, 3) for _ in range(n)))
+        for r, f in ((rank, forest), (shuffled, forest), (shuffled, arbitrary),
+                     ([rng.randint(1, 4) for _ in range(n)], arbitrary)):
+            for cap in (10_000_000, rng.randint(0, 6)):
+                assert check_lemmas(g, r, f, cap) == reference_check_lemmas(g, r, f, cap)
 
 
 def test_certify_pipeline_shortcut():

@@ -1,6 +1,6 @@
 import pytest
 
-from maxleaf import parse
+from maxleaf import InstanceSpec, generate, parse, serialize
 from maxleaf.cli import main, parse_gen_spec
 
 
@@ -75,6 +75,19 @@ def test_certify_star5(capsys):
     assert "u_size=0" in out and "k=1" in out
     assert "upper_bound=5" in out and "leaves=4" in out
     assert "lemmas=pass" in out
+
+
+def test_certify_output_is_the_same_on_both_parse_paths(tmp_path, capsys):
+    text = serialize(generate(InstanceSpec("random_connected", (60, 150), 5)))
+    canonical = tmp_path / "canonical.edgelist"
+    canonical.write_text(text)
+    commented = tmp_path / "commented.edgelist"
+    commented.write_text("# random_connected(60, 150), seed 5\n\n"
+                         + "".join(f"{line}\n# line {i}\n\n"
+                                   for i, line in enumerate(text.splitlines())))
+    code, out, err = run_cli(capsys, "certify", str(canonical))
+    assert (code, err) == (0, "") and "lemmas=pass" in out
+    assert run_cli(capsys, "certify", str(commented)) == (code, out, err)
 
 
 def test_certify_small_n_is_rejected(capsys, tmp_path):

@@ -5,6 +5,7 @@ from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
 
 from helpers import arbitrary_graphs
+from parse_corpus import CORPUS, check_parity, check_serialized
 
 
 def test_parse_edgelist_path():
@@ -59,6 +60,22 @@ def test_parse_skips_comments_and_blank_lines():
     assert g.m == 2
     g = parse("c a triangle\np edge 3 3\ne 1 2\ne 2 3\nc x\ne 1 3", fmt="dimacs")
     assert g.m == 3
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_bulk_parse_matches_line_parser_on_corpus(name):
+    check_parity(*CORPUS[name])
+
+
+@given(arbitrary_graphs())
+@settings(max_examples=100)
+def test_bulk_parse_matches_line_parser_on_serialized_graphs(g):
+    check_serialized(g)
+
+
+def test_canonical_text_skips_the_line_parser(monkeypatch):
+    monkeypatch.setattr("maxleaf.graph._parse_edgelist", None)
+    assert parse("3 2\n0 1\n1 2\n").m == 2
 
 
 def test_serialize_triangle_dimacs_sorted():
