@@ -3,8 +3,10 @@
 Replaying an expansion trace assigns every vertex a rank: W2 expansions
 propagate the center's rank to all added vertices, W1/W0 expansions give
 the single added vertex a fresh maximum. Deleting tree edges between
-differently ranked endpoints yields the rank forest F, whose components
-are exactly the rank classes. From F we read off
+differently ranked endpoints yields the rank forest F. Its edges never
+leave a rank class, so its components are the rank classes exactly when
+each class of s vertices holds s - 1 forest edges; build_forest groups the
+vertices by rank and checks that count. From F we read off
 
     u_size       -- vertices of unique rank (singleton components),
     k            -- components with >= 3 vertices,
@@ -75,12 +77,12 @@ def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
 class RankForest:
     """The tree with edges between unequal ranks removed.
 
-    components are sorted largest first (ties by smallest vertex);
-    component_of and f_degree are per-vertex arrays.
+    components are the rank classes, each in ascending id order, sorted
+    largest first (ties by smallest vertex); f_degree is the per-vertex
+    forest degree.
     """
 
     components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
     f_degree: tuple[int, ...]
 
     def singleton_count(self) -> int:
@@ -97,66 +99,45 @@ class RankForest:
 
 
 def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
-    """Delete tree edges with unequal endpoint ranks and split into components.
+    """Group the vertices into rank classes and count forest degrees.
 
-    Verifies the structural invariants every genuine run satisfies:
-    components coincide with rank classes, no component has exactly two
-    vertices, and a component with >= 3 vertices has at most one vertex of
-    forest-degree exactly 2. Violations raise CertificateError.
+    Forest edges (tree edges with equal endpoint ranks) never leave a rank
+    class, and t must be a tree (as tree() returns and verify_spanning_tree
+    checks), so a class of s vertices is one forest component exactly when
+    it holds s - 1 forest edges. Verifies the structural invariants every
+    genuine run satisfies: each rank class is one component, no component
+    has exactly two vertices, and a component with >= 3 vertices has at most
+    one vertex of forest-degree exactly 2. Violations raise CertificateError.
     """
     n = g.n
     if len(t.parent) != n or len(rank) != n:
         raise ValueError("tree or rank size differs from graph")
-    f_adj: list[list[int]] = [[] for _ in range(n)]
+    classes: dict[int, list[int]] = {}
+    f_degree = [0] * n
     for v, p in enumerate(t.parent):
-        if p is not None and rank[v] == rank[p]:
-            f_adj[v].append(p)
-            f_adj[p].append(v)
-    component_of = [-1] * n
-    raw_components: list[list[int]] = []
-    for v in range(n):
-        if component_of[v] >= 0:
-            continue
-        comp = [v]
-        component_of[v] = len(raw_components)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in f_adj[x]:
-                if component_of[y] < 0:
-                    component_of[y] = len(raw_components)
-                    comp.append(y)
-                    stack.append(y)
-        raw_components.append(sorted(comp))
-
-    order = sorted(range(len(raw_components)),
-                   key=lambda i: (-len(raw_components[i]), raw_components[i][0]))
-    components = tuple(tuple(raw_components[i]) for i in order)
-    remap = {old: new for new, old in enumerate(order)}
-    component_of = [remap[c] for c in component_of]
-    f_degree = [len(a) for a in f_adj]
+        r = rank[v]
+        classes.setdefault(r, []).append(v)
+        if p is not None and r == rank[p]:
+            f_degree[v] += 1
+            f_degree[p] += 1
+    # Classes are in first-vertex order and the sort is stable, so ties
+    # stay ordered by smallest vertex.
+    components = tuple(sorted(map(tuple, classes.values()), key=len, reverse=True))
 
     for comp in components:
+        degrees = [f_degree[v] for v in comp]
+        if sum(degrees) != 2 * (len(comp) - 1):
+            raise CertificateError(
+                f"rank class {comp} holds {sum(degrees) // 2} forest edges, "
+                f"not {len(comp) - 1}: it is not one component")
         if len(comp) == 2:
             raise CertificateError(f"forest component of size 2: {comp}")
-        if len(comp) >= 3:
+        if degrees.count(2) > 1:
             deg2 = [v for v in comp if f_degree[v] == 2]
-            if len(deg2) > 1:
-                raise CertificateError(
-                    f"component {comp} has {len(deg2)} degree-2 vertices: {deg2}")
-    # Components must be exactly the rank classes, in both directions.
-    rank_of_comp: dict[int, int] = {}
-    for idx, comp in enumerate(components):
-        ranks_seen = {rank[v] for v in comp}
-        if len(ranks_seen) != 1:
-            raise CertificateError(f"component {comp} mixes ranks {ranks_seen}")
-        r = ranks_seen.pop()
-        if r in rank_of_comp:
             raise CertificateError(
-                f"rank {r} split across components {rank_of_comp[r]} and {idx}")
-        rank_of_comp[r] = idx
+                f"component {comp} has {len(deg2)} degree-2 vertices: {deg2}")
 
-    return RankForest(components, tuple(component_of), tuple(f_degree))
+    return RankForest(components, tuple(f_degree))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,22 @@ def uniform_random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
+def add_random_edges(edge_set: set[tuple[int, int]], n: int, count: int,
+                     rng: random.Random) -> None:
+    """Add count new (u, v), u < v, edges on n vertices to edge_set.
+
+    Rejection sampling: each draw is two rng.randrange(n) calls, and
+    self-loops and edges already present are drawn again. The caller keeps
+    the target well below n(n-1)/2 so that rejections stay rare.
+    """
+    target = len(edge_set) + count
+    while len(edge_set) < target:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            edge_set.add((u, v) if u < v else (v, u))
+
+
 def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
     max_edges = n * (n - 1) // 2
     if n < 1:
@@ -106,14 +122,7 @@ def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
                       if (u, v) not in edge_set]
         edge_set.update(rng.sample(complement, extra))
     else:
-        while len(edge_set) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e not in edge_set:
-                edge_set.add(e)
+        add_random_edges(edge_set, n, extra, rng)
     return Graph.from_edges(n, sorted(edge_set))
 
 

@@ -15,13 +15,15 @@ spanning-tree enumerator, oracle.max_leaf_exact, under PER_TRIAL_TREE_BUDGET:
 a finished enumeration must give the same optimum, an exhausted one a
 partial best no larger; anything else raises OracleDisagreementError.
 
-With the default max_extra_edges=5, an instance has m = n - 1 + k edges
-with k <= 5, and each spanning tree omits exactly k of them, so there are
-at most C(n+4, 5) spanning trees; for n <= 27 that is <= 169,911, below
-the 200,000 budget, and confirmations there always finish. Trials with
-larger n are solved exactly too, however many spanning trees they have;
-the CDS search grows exponentially in the number of non-cut vertices
-instead.
+With MAX_EXTRA_EDGES = 5, an instance has m = n - 1 + k edges with k <= 5,
+and each spanning tree omits exactly k of them, so there are at most
+C(n+4, 5) spanning trees; for n <= 27 that is <= 169,911, below the 200,000
+budget, and confirmations there always finish. Trials with larger n are
+solved exactly too, however many spanning trees they have; the CDS search
+grows exponentially in the number of non-cut vertices instead.
+
+Every trial's lemma audit must pass: a failing LemmaReport raises
+CertificateError, as a failing forest or bound check already does.
 
 Deterministic for a fixed (n_max, trials, seed): reruns return the same
 instances.
@@ -32,13 +34,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .certificate import certify
-from .generate import uniform_random_tree
+from .certificate import CertificateError, certify
+from .generate import add_random_edges, uniform_random_tree
 from .graph import Graph
 from .oracle import OracleDisagreementError, max_leaf_cds, max_leaf_exact
 from .solver import StartPolicy, leaf_count, tree
 
 PER_TRIAL_TREE_BUDGET = 200_000
+MAX_EXTRA_EDGES = 5     # non-tree edges per instance, drawn from 0..MAX_EXTRA_EDGES
 
 
 @dataclass(frozen=True)
@@ -65,26 +68,17 @@ class TightSearchResult:
     oracle_calls: int
 
 
-def _random_instance(rng: random.Random, n_max: int, max_extra_edges: int) -> Graph:
+def _random_instance(rng: random.Random, n_max: int) -> Graph:
     n = rng.randint(4, max(4, n_max))
     edge_set = set(uniform_random_tree(n, rng))
-    cap = min(max_extra_edges, n * (n - 1) // 2 - (n - 1))
+    cap = min(MAX_EXTRA_EDGES, n * (n - 1) // 2 - (n - 1))
     extra = rng.randint(0, cap) if cap > 0 else 0
-    while extra > 0:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e not in edge_set:
-            edge_set.add(e)
-            extra -= 1
+    add_random_edges(edge_set, n, extra, rng)
     return Graph.from_edges(n, sorted(edge_set))
 
 
 def tight_search(n_max: int, trials: int, seed: int,
-                 policy: StartPolicy | None = None,
-                 max_extra_edges: int = 5) -> TightSearchResult:
+                 policy: StartPolicy | None = None) -> TightSearchResult:
     """Search `trials` random instances with at most n_max vertices."""
     if n_max < 4:
         raise ValueError(f"tight_search needs n_max >= 4, got {n_max}")
@@ -96,10 +90,14 @@ def tight_search(n_max: int, trials: int, seed: int,
     oracle_calls = 0
 
     for _ in range(trials):
-        g = _random_instance(rng, n_max, max_extra_edges)
+        g = _random_instance(rng, n_max)
         t, trace = tree(g, policy)
         alg = leaf_count(t)
-        cert, _report = certify(g, t, trace)
+        cert, report = certify(g, t, trace)
+        if not report.passed:
+            raise CertificateError(
+                f"edges {g.edge_list()}: lemma audit failed, witness counts "
+                f"{report.witness_counts()}")
         ub = cert.upper_bound
         # Admission filter: opt <= ub, so skip trials that cannot beat
         # either incumbent even if the bound were attained.

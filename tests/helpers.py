@@ -8,8 +8,8 @@ import random
 
 from hypothesis import strategies as st
 
-from maxleaf import (ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
-                     SpanningTree, generate)
+from maxleaf import (CertificateError, ExpansionTrace, Graph, InstanceSpec,
+                     LemmaReport, RankForest, SpanningTree, generate)
 
 
 def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
@@ -139,6 +139,59 @@ def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest,
             unique_over_leaf.append((v, u))
     return LemmaReport(tuple(local_degree), tuple(upward_neighbor),
                        tuple(branch_rank), tuple(unique_over_leaf), truncated)
+
+
+def reference_build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
+    """DFS over the forest's adjacency lists, then a per-component rank
+    check; build_forest must match it."""
+    n = g.n
+    if len(t.parent) != n or len(rank) != n:
+        raise ValueError("tree or rank size differs from graph")
+    f_adj: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(t.parent):
+        if p is not None and rank[v] == rank[p]:
+            f_adj[v].append(p)
+            f_adj[p].append(v)
+    seen = [False] * n
+    raw_components: list[list[int]] = []
+    for v in range(n):
+        if seen[v]:
+            continue
+        seen[v] = True
+        comp = [v]
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in f_adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        raw_components.append(sorted(comp))
+    components = tuple(tuple(c) for c in sorted(raw_components,
+                                                 key=lambda c: (-len(c), c[0])))
+    f_degree = [len(a) for a in f_adj]
+
+    for comp in components:
+        if len(comp) == 2:
+            raise CertificateError(f"forest component of size 2: {comp}")
+        if len(comp) >= 3:
+            deg2 = [v for v in comp if f_degree[v] == 2]
+            if len(deg2) > 1:
+                raise CertificateError(
+                    f"component {comp} has {len(deg2)} degree-2 vertices: {deg2}")
+    # Components must be exactly the rank classes, in both directions.
+    rank_of_comp: dict[int, int] = {}
+    for idx, comp in enumerate(components):
+        ranks_seen = {rank[v] for v in comp}
+        if len(ranks_seen) != 1:
+            raise CertificateError(f"component {comp} mixes ranks {ranks_seen}")
+        r = ranks_seen.pop()
+        if r in rank_of_comp:
+            raise CertificateError(
+                f"rank {r} split across components {rank_of_comp[r]} and {idx}")
+        rank_of_comp[r] = idx
+    return RankForest(components, tuple(f_degree))
 
 
 def tree_degrees(t: SpanningTree) -> list[int]:

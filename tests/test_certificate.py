@@ -9,7 +9,8 @@ from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
                      build_forest, certify, check_lemmas, compute_certificate,
                      generate, parse, tree)
 
-from helpers import connected_graphs, reference_check_lemmas, shuffled_edgelist
+from helpers import (connected_graphs, reference_build_forest, reference_check_lemmas,
+                     shuffled_edgelist)
 
 
 def run_pipeline(g):
@@ -133,6 +134,34 @@ def test_build_forest_flags_corrupt_ranks():
         build_forest(g, t, rank)
 
 
+def forest_or_error(build, g, t, rank):
+    try:
+        f = build(g, t, rank)
+    except CertificateError:
+        return "CertificateError"
+    return f.components, f.f_degree
+
+
+def test_build_forest_matches_the_reference_dfs():
+    rng = random.Random(4)
+    raised = 0
+    for seed in range(400):
+        n = rng.randint(3, 40)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+        g = generate(InstanceSpec("random_connected", (n, m), seed))
+        t, trace = tree(g)
+        rank = assign_ranks(g, trace)
+        one_moved = rank[:]
+        one_moved[rng.randrange(n)] = rng.randint(1, max(rank) + 1)
+        shuffled = rank[:]
+        rng.shuffle(shuffled)
+        for r in (rank, one_moved, [rng.randint(1, 3) for _ in range(n)], shuffled):
+            expected = forest_or_error(reference_build_forest, g, t, r)
+            assert forest_or_error(build_forest, g, t, r) == expected
+            raised += expected == "CertificateError"
+    assert 400 <= raised <= 1200   # both outcomes are exercised
+
+
 @given(connected_graphs(min_n=3, max_n=14))
 @settings(max_examples=100, deadline=None)
 def test_rank_monotone_along_tree_edges(g):
@@ -206,7 +235,6 @@ def test_check_lemmas_flags_corrupt_ranks_and_respects_the_cap():
     bogus_rank = [3, 1, 2, 4, 5]   # never produced by a real run
     all_singletons = RankForest(
         components=((0,), (1,), (2,), (3,), (4,)),
-        component_of=(0, 1, 2, 3, 4),
         f_degree=(0, 0, 0, 0, 0))
     report = check_lemmas(g, bogus_rank, all_singletons)
     assert not report.passed
@@ -253,7 +281,6 @@ def test_check_lemmas_matches_the_reference_audit():
         rng.shuffle(shuffled)
         arbitrary = RankForest(
             components=tuple((v,) for v in range(n) if rng.random() < 0.4),
-            component_of=tuple(range(n)),
             f_degree=tuple(rng.randint(0, 3) for _ in range(n)))
         for r, f in ((rank, forest), (shuffled, forest), (shuffled, arbitrary),
                      ([rng.randint(1, 4) for _ in range(n)], arbitrary)):

@@ -69,6 +69,18 @@ def test_certify_cycle5(capsys):
                    "upper_bound=3\nratio_bound=1.5000\nlemmas=pass\n")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--gen", "random:2000:8000", "--seed", "1"),
+     "n=2000\nm=8000\nleaves=1454\nu_size=41\nk=2\n"
+     "upper_bound=1958\nratio_bound=1.3466\nlemmas=pass\n"),
+    (("--gen", "grid:5x7"),
+     "n=35\nm=58\nleaves=18\nu_size=1\nk=1\n"
+     "upper_bound=34\nratio_bound=1.8889\nlemmas=pass\n"),
+])
+def test_certify_output_is_pinned(capsys, argv, expected):
+    assert run_cli(capsys, "certify", *argv) == (0, expected, "")
+
+
 def test_certify_star5(capsys):
     code, out, _ = run_cli(capsys, "certify", "--gen", "star:5")
     assert code == 0
@@ -221,6 +233,25 @@ def test_missing_input_exit_1(capsys):
 def test_unreadable_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/path.edgelist")
     assert code == 1
+
+
+def test_failed_lemma_audit_in_tight_search_exits_4(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from maxleaf import tightness
+    real = tightness.certify
+
+    def failing_audit(g, t, trace):
+        cert, report = real(g, t, trace)
+        return cert, dataclasses.replace(report, branch_rank=((0, 1),))
+
+    monkeypatch.setattr(tightness, "certify", failing_audit)
+    code, out, err = run_cli(capsys, "tight-search", "--n-max", "8", "--trials", "20",
+                             "--out", str(tmp_path / "t.edgelist"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("certificate violation: edges [")
+    assert "lemma audit failed" in err
 
 
 def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):

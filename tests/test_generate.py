@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from maxleaf import InfeasibleSpecError, InstanceSpec, generate, is_connected
+from maxleaf import InfeasibleSpecError, InstanceSpec, generate, is_connected, serialize
 
 
 def test_cycle_shape():
@@ -86,3 +88,30 @@ def test_generate_dispatches_tight_search():
     g = generate(InstanceSpec("tight_search", (8, 50), 3))
     assert is_connected(g)
     assert g.adjacency == generate(InstanceSpec("tight_search", (8, 50), 3)).adjacency
+
+
+# sha256 of serialize(generate(spec)), recorded before the sampling loop was
+# shared with tight_search; any change to the RNG draw order shows here.
+GOLDEN_SERIALIZED_SHA256 = {
+    ("random_connected", (1, 0), 0):
+        "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("random_connected", (2, 1), 7):
+        "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834",
+    ("random_connected", (30, 60), 987654321):                    # sparse
+        "e3df7f36f88589fee639e359bc5fb78f6b89e4a542a1d646afed93ba41456fce",
+    ("random_connected", (200, 600), 3):                          # sparse
+        "4c421260b7d954860815895e13147b87b1f25fe51527e825766b6185e1b0a975",
+    ("random_connected", (8, 27), 5):                             # dense fallback
+        "5134f9829b766525d23c90be3b8cfa510f76f0a306fb262823ba2bb562d50078",
+    ("random_connected", (12, 50), 11):                           # dense fallback
+        "03ca6e526580928d3fafeb7d0c6a1b5ef0dbe525722554193b3caea6d079405f",
+    ("random_connected", (10, 45), 2):                            # complete
+        "1df85460ce06d8c58223cfd1f4578b56f4ca71b66182291bfa1732f3659ee352",
+}
+
+
+@pytest.mark.parametrize("family, params, seed", sorted(GOLDEN_SERIALIZED_SHA256))
+def test_generated_graphs_are_pinned(family, params, seed):
+    text = serialize(generate(InstanceSpec(family, params, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_SERIALIZED_SHA256[family, params, seed]

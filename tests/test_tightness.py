@@ -33,10 +33,11 @@ def test_best_instance_figures_are_reproducible():
     assert max_leaf_exact(g).opt_leaves == result.best.opt_leaves
 
 
-def test_trees_only_search_has_ratio_one():
+def test_trees_only_search_has_ratio_one(monkeypatch):
     # With no extra edges every instance is a tree: its unique spanning tree
     # is what the solver returns, so the ratio is always 1.
-    result = tight_search(10, 300, seed=5, max_extra_edges=0)
+    monkeypatch.setattr(tightness, "MAX_EXTRA_EDGES", 0)
+    result = tight_search(10, 300, seed=5)
     assert result.best.ratio == 1.0
     assert result.tight is not None   # opt = 2, alg = 2 paths have slack 0
     assert result.tight.slack >= 0
