@@ -175,12 +175,11 @@ def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate
     if upper_bound < leaves:
         raise CertificateError(
             f"upper_bound {upper_bound} below own leaf count {leaves}")
+    # The 2-approximation, upper_bound <= 2*leaves - 1, with upper_bound
+    # written out as n - u_size - k + 1.
     if n - u_size > 2 * leaves + k - 2:
         raise CertificateError(
             f"n - u_size = {n - u_size} exceeds 2*leaves + k - 2 = {2 * leaves + k - 2}")
-    if upper_bound > 2 * leaves - 1:
-        raise CertificateError(
-            f"upper_bound {upper_bound} exceeds 2*leaves - 1 = {2 * leaves - 1}")
     return cert
 
 

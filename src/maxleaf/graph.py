@@ -7,14 +7,22 @@ Vertices are dense 0-based integers. Two text formats are supported:
 * dimacs   -- "c" comment lines, one "p edge n m" line, then m lines
   "e u v" with 1-based ids (shifted to 0-based internally).
 
+One line-by-line parser serves both formats. A small table holds what
+differs between them: the comment prefix, the id base and how error
+messages name the header and an edge line; only DIMACS's 'p'/'e' line tags
+need code of their own. The header, edge and edge-count checks are shared.
+A header that declares more than MAX_VERTICES vertices is a parse error,
+raised before anything is allocated.
+
 Edgelist text in the canonical form that serialize() writes is read in
 bulk: ASCII only, no '#', no blank lines, every line two tokens joined by
-exactly one space, '\n' as the only other separator, and at most 2m + 1
-declared vertices. That path does one split(), one map(int), range checks
-with min/max, and one duplicate and self-loop check on the built adjacency
-rows. Any other text, and canonical text that fails a check, goes to the
-line-by-line parser, which accepts exactly the same graphs. Errors, with
-their messages and line numbers, therefore always come from the line parser.
+exactly one space, '\n' as the only other separator, and at most
+min(2m + 1, MAX_VERTICES) declared vertices. That path does one split(),
+one map(int), range checks with min/max, and one duplicate and self-loop
+check on the built adjacency rows. Any other text, canonical text that
+fails a check, and all DIMACS text go to the line parser, which accepts
+exactly the same graphs. Errors, with their messages and line numbers,
+therefore always come from the line parser.
 
 Graphs are immutable after construction and safe to share between
 concurrent readers.
@@ -24,6 +32,11 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable
+
+# The most vertices a parsed header may declare. A graph costs about 115
+# bytes per declared vertex before any edge is read; the cap, 32x the
+# n = 2^19 top of the benchmark ladder, bounds that at about 1.9 GB.
+MAX_VERTICES = 1 << 24
 
 
 class GraphFormatError(ValueError):
@@ -142,57 +155,6 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise GraphFormatError(f"{what} is not an integer: {token!r}", line) from None
 
 
-def _add_edge(u: int, v: int, n: int, edges: list, seen: set, line: int, base: int) -> None:
-    lo, hi = base, n - 1 + base
-    if not (lo <= u <= hi and lo <= v <= hi):
-        raise GraphFormatError(f"vertex id out of range [{lo}, {hi}]: {u} {v}", line)
-    u -= base
-    v -= base
-    if u == v:
-        raise GraphFormatError(f"self-loop at vertex {u + base}", line)
-    key = (u, v) if u < v else (v, u)
-    if key in seen:
-        raise GraphFormatError(f"duplicate edge {u + base} {v + base}", line)
-    seen.add(key)
-    edges.append((u, v))
-
-
-def _parse_edgelist(text: str) -> Graph:
-    n = m = -1
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    header_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n < 0:
-            if len(fields) != 2:
-                raise GraphFormatError(f"expected header 'n m', got {line!r}", lineno)
-            n = _parse_int(fields[0], "vertex count", lineno)
-            m = _parse_int(fields[1], "edge count", lineno)
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
-            if m < 0:
-                raise GraphFormatError(f"edge count must be >= 0, got {m}", lineno)
-            header_line = lineno
-            continue
-        if len(fields) != 2:
-            raise GraphFormatError(f"expected edge 'u v', got {line!r}", lineno)
-        u = _parse_int(fields[0], "vertex id", lineno)
-        v = _parse_int(fields[1], "vertex id", lineno)
-        if len(edges) == m:
-            raise GraphFormatError(f"more than the declared {m} edges", lineno)
-        _add_edge(u, v, n, edges, seen, lineno, base=0)
-    if n < 0:
-        raise GraphFormatError("missing 'n m' header line", 1)
-    if len(edges) != m:
-        raise GraphFormatError(
-            f"declared {m} edges but found {len(edges)}", header_line)
-    return Graph.from_edges(n, edges)
-
-
 # Every ASCII byte but the ones that can separate or comment out tokens; what
 # is left after deleting these is the text's separator sequence.
 _TOKEN_BYTES = bytes(c for c in range(128) if c not in b" \n\t\r\x0b\x0c\x1c\x1d\x1e\x1f#")
@@ -221,7 +183,7 @@ def _parse_edgelist_bulk(text: str) -> Graph | None:
     ids = values[2:]
     # n <= 2m + 1 keeps what is built before the checks below in proportion
     # to the text; a connected graph always qualifies.
-    if not 1 <= n <= len(ids) + 1 or m != lines - 1:
+    if not 1 <= n <= len(ids) + 1 or n > MAX_VERTICES or m != lines - 1:
         return None
     if ids and (min(ids) < 0 or max(ids) >= n):
         return None
@@ -232,60 +194,85 @@ def _parse_edgelist_bulk(text: str) -> Graph | None:
     return g
 
 
-def _parse_dimacs(text: str) -> Graph:
+# fmt -> (comment prefix, id base, and how error messages name the header,
+# the header line and an edge line).
+_LINE_FORMATS = {
+    "edgelist": ("#", 0, "header 'n m'", "'n m' header line", "edge 'u v'"),
+    "dimacs": ("c", 1, "'p edge n m'", "'p edge n m' line", "'e u v'"),
+}
+FORMATS = tuple(_LINE_FORMATS)
+
+
+def _parse_lines(text: str, fmt: str) -> Graph:
+    """The line-by-line parser of both formats; every parse error comes from here."""
+    comment, base, header, header_name, edge = _LINE_FORMATS[fmt]
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    problem_line = 0
+    header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line.startswith(comment):
             continue
         fields = line.split()
-        if fields[0] == "p":
-            if n >= 0:
-                raise GraphFormatError("duplicate 'p' line", lineno)
-            if len(fields) != 4 or fields[1] != "edge":
-                raise GraphFormatError(f"expected 'p edge n m', got {line!r}", lineno)
-            n = _parse_int(fields[2], "vertex count", lineno)
-            m = _parse_int(fields[3], "edge count", lineno)
+        is_header = n < 0
+        if fmt == "dimacs":
+            # A tag says what the line is. Only "p edge n m" leaves the two
+            # fields the header check below accepts.
+            tag, fields = fields[0], fields[1:]
+            is_header = tag == "p"
+            if is_header:
+                if n >= 0:
+                    raise GraphFormatError("duplicate 'p' line", lineno)
+                fields = fields[1:] if fields[:1] == ["edge"] else []
+            elif tag != "e":
+                raise GraphFormatError(f"unrecognized line {line!r}", lineno)
+            elif n < 0:
+                raise GraphFormatError("'e' line before 'p edge' line", lineno)
+        if is_header:
+            if len(fields) != 2:
+                raise GraphFormatError(f"expected {header}, got {line!r}", lineno)
+            n = _parse_int(fields[0], "vertex count", lineno)
+            m = _parse_int(fields[1], "edge count", lineno)
             if n < 1:
                 raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count must be <= {MAX_VERTICES}, got {n}", lineno)
             if m < 0:
                 raise GraphFormatError(f"edge count must be >= 0, got {m}", lineno)
-            problem_line = lineno
+            header_line = lineno
             continue
-        if fields[0] == "e":
-            if n < 0:
-                raise GraphFormatError("'e' line before 'p edge' line", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError(f"expected 'e u v', got {line!r}", lineno)
-            u = _parse_int(fields[1], "vertex id", lineno)
-            v = _parse_int(fields[2], "vertex id", lineno)
-            if len(edges) == m:
-                raise GraphFormatError(f"more than the declared {m} edges", lineno)
-            _add_edge(u, v, n, edges, seen, lineno, base=1)
-            continue
-        raise GraphFormatError(f"unrecognized line {line!r}", lineno)
+        if len(fields) != 2:
+            raise GraphFormatError(f"expected {edge}, got {line!r}", lineno)
+        u = _parse_int(fields[0], "vertex id", lineno)
+        v = _parse_int(fields[1], "vertex id", lineno)
+        if len(edges) == m:
+            raise GraphFormatError(f"more than the declared {m} edges", lineno)
+        if not (base <= u < n + base and base <= v < n + base):
+            raise GraphFormatError(
+                f"vertex id out of range [{base}, {n - 1 + base}]: {u} {v}", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
+        seen.add(key)
+        edges.append((u - base, v - base))
     if n < 0:
-        raise GraphFormatError("missing 'p edge n m' line", 1)
+        raise GraphFormatError(f"missing {header_name}", 1)
     if len(edges) != m:
         raise GraphFormatError(
-            f"declared {m} edges but found {len(edges)}", problem_line)
+            f"declared {m} edges but found {len(edges)}", header_line)
     return Graph.from_edges(n, edges)
-
-
-FORMATS = ("edgelist", "dimacs")
 
 
 def parse(text: str, fmt: str = "edgelist") -> Graph:
     """Parse a graph description; raises GraphFormatError with a line number."""
-    if fmt == "edgelist":
-        g = _parse_edgelist_bulk(text)
-        return g if g is not None else _parse_edgelist(text)
-    if fmt == "dimacs":
-        return _parse_dimacs(text)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    if fmt not in _LINE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    g = _parse_edgelist_bulk(text) if fmt == "edgelist" else None
+    return g if g is not None else _parse_lines(text, fmt)
 
 
 def serialize(g: Graph, fmt: str = "edgelist") -> str:

@@ -1,13 +1,14 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
-                     InstanceSpec, LemmaReport, RankForest, assign_ranks,
-                     build_forest, certify, check_lemmas, compute_certificate,
-                     generate, parse, tree)
+                     InstanceSpec, LemmaReport, RankForest, SpanningTree,
+                     assign_ranks, build_forest, certify, check_lemmas,
+                     compute_certificate, generate, parse, tree)
 
 from helpers import (connected_graphs, reference_build_forest, reference_check_lemmas,
                      shuffled_edgelist)
@@ -90,6 +91,19 @@ def test_certificate_refuses_small_n():
     t, trace, rank, forest = run_pipeline(g)
     with pytest.raises(ValueError, match="n >= 3"):
         compute_certificate(g, t, forest)
+
+
+@pytest.mark.parametrize("n, components, leaves, message", [
+    (3, ((0,), (1,), (2,)), 2, "expected k >= 1, got k=0"),
+    (4, ((0, 1, 2),), 2, "n - u_size = 4 but big components hold 3 vertices"),
+    (5, ((0, 1, 2), (3,), (4,)), 4, "upper_bound 3 below own leaf count 4"),
+    (5, ((0, 1, 2, 3, 4),), 2, "n - u_size = 5 exceeds 2*leaves + k - 2 = 3"),
+])
+def test_compute_certificate_flags_each_broken_invariant(n, components, leaves, message):
+    star = SpanningTree(0, (None,) + (0,) * (n - 1), frozenset(range(1, leaves + 1)))
+    forest = RankForest(components, (0,) * n)
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+        compute_certificate(Graph.from_edges(n, []), star, forest)
 
 
 def test_lemmas_vacuous_on_star():

@@ -62,6 +62,15 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_header_above_the_vertex_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 3)
+    path = tmp_path / "big.dimacs"
+    path.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    code, out, err = run_cli(capsys, "solve", "--format", "dimacs", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1: vertex count must be <= 3, got 4\n"
+
+
 def test_certify_cycle5(capsys):
     code, out, err = run_cli(capsys, "certify", "--gen", "cycle:5")
     assert code == 0

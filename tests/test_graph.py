@@ -3,9 +3,11 @@ from hypothesis import given, settings
 
 from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
+from maxleaf.graph import _parse_edgelist_bulk
 
 from helpers import arbitrary_graphs
-from parse_corpus import CORPUS, check_parity, check_serialized
+from parse_corpus import (CORPUS, DIMACS_CORPUS, MUTATION_SEEDS, check_mutations,
+                          check_parity, check_serialized, missing_errors)
 
 
 def test_parse_edgelist_path():
@@ -74,8 +76,41 @@ def test_bulk_parse_matches_line_parser_on_serialized_graphs(g):
 
 
 def test_canonical_text_skips_the_line_parser(monkeypatch):
-    monkeypatch.setattr("maxleaf.graph._parse_edgelist", None)
+    monkeypatch.setattr("maxleaf.graph._parse_lines", None)
     assert parse("3 2\n0 1\n1 2\n").m == 2
+
+
+@pytest.mark.parametrize("name", list(DIMACS_CORPUS))
+def test_line_parser_matches_the_reference_on_dimacs_corpus(name):
+    check_parity(DIMACS_CORPUS[name], False, "dimacs")
+
+
+@pytest.mark.parametrize("fmt", list(MUTATION_SEEDS))
+def test_parse_matches_the_reference_on_mutated_texts(fmt):
+    messages = check_mutations(fmt, 20_000, MUTATION_SEEDS[fmt])
+    assert missing_errors(fmt, messages) == []
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("edgelist", "# cap\n{n} 1\n0 1\n"),
+    ("dimacs", "c cap\np edge {n} 1\ne 1 2\n"),
+])
+def test_vertex_cap_is_a_parse_error_on_the_header_line(monkeypatch, fmt, text):
+    monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 5)
+    assert parse(text.format(n=5), fmt).n == 5
+    with pytest.raises(GraphFormatError) as exc:
+        parse(text.format(n=6), fmt)
+    assert str(exc.value) == "line 2: vertex count must be <= 5, got 6"
+    assert exc.value.line == 2
+
+
+def test_vertex_cap_closes_the_bulk_gate(monkeypatch):
+    monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 4)
+    check_parity("4 2\n0 1\n2 3\n", True)
+    past_cap = "5 2\n0 1\n2 3\n"       # within 2m + 1 vertices
+    assert _parse_edgelist_bulk(past_cap) is None
+    with pytest.raises(GraphFormatError, match="^line 1: vertex count must be <= 4, got 5$"):
+        parse(past_cap)
 
 
 def test_serialize_triangle_dimacs_sorted():
