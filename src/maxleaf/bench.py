@@ -26,7 +26,8 @@ class BenchRow:
     m: int
     n: int
     median_ms: float
-    ratio: float | None          # this rung's median over the previous one
+    ratio: float | None          # median over passes of this rung's time over
+                                 # the previous rung's time in the same pass
     touches: int
     touch_limit: int             # 10 * (n + m)
 
@@ -36,9 +37,9 @@ def run_ladder(ladder: tuple[int, int] = DEFAULT_LADDER, runs: int = DEFAULT_RUN
     """Benchmark each rung m = 2^lo .. 2^hi: `runs` timed solves per rung.
 
     The timed runs are interleaved across rungs (pass 1 solves every rung
-    once, then pass 2, ...) so that consecutive rungs are measured close
-    together in time and slow machine-speed drift cancels out of the
-    rung-to-rung ratios.
+    once, then pass 2, ...) so that consecutive rungs are measured back to
+    back. Each rung-to-rung ratio is taken within a pass and the median over
+    passes is reported, so machine-speed drift between passes cancels out.
     """
     lo, hi = ladder
     if lo > hi:
@@ -74,13 +75,13 @@ def run_ladder(ladder: tuple[int, int] = DEFAULT_LADDER, runs: int = DEFAULT_RUN
         if gc_was_enabled:
             gc.enable()
     rows: list[BenchRow] = []
-    prev_median: float | None = None
+    prev_times: list[float] | None = None
     for g, rung_times, rung_touches in zip(graphs, times, touches):
-        median_ms = statistics.median(rung_times) * 1000.0
-        ratio = median_ms / prev_median if prev_median else None
-        rows.append(BenchRow(g.m, g.n, median_ms, ratio,
+        ratio = (statistics.median(t / p for t, p in zip(rung_times, prev_times))
+                 if prev_times else None)
+        rows.append(BenchRow(g.m, g.n, statistics.median(rung_times) * 1000.0, ratio,
                              rung_touches, 10 * (g.n + g.m)))
-        prev_median = median_ms
+        prev_times = rung_times
     return rows
 
 

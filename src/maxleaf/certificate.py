@@ -35,39 +35,48 @@ class CertificateError(ValueError):
 def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
     """Replay a trace and return the per-vertex rank (>= 1 everywhere).
 
-    Raises ValueError if the trace is inconsistent with g.
+    Reads the flat layout directly. Raises ValueError if the layout is
+    malformed or the trace is inconsistent with g.
     """
     n = g.n
     if not 0 <= trace.start < n:
         raise ValueError(f"trace start {trace.start} out of range")
+    centers, labels, ends, added = trace.centers, trace.labels, trace.ends, trace.added
+    if not len(centers) == len(labels) == len(ends):
+        raise ValueError(f"trace has {len(centers)} centers, {len(labels)} labels "
+                         f"and {len(ends)} ends")
+    if (ends[-1] if ends else 0) != len(added):
+        raise ValueError(f"trace ends at {ends[-1] if ends else 0}, "
+                         f"not at its {len(added)} added vertices")
     rank = [0] * n
     rank[trace.start] = 1
     in_tree = bytearray(n)
     in_tree[trace.start] = 1
     max_rank = 1
-    for step in trace.steps:
-        u = step.center
+    begin = 0
+    for u, label, end in zip(centers, labels, ends):
         if not in_tree[u]:
             raise ValueError(f"trace expands at {u} before it joined the tree")
-        if not step.added:
+        if end <= begin:
             raise ValueError(f"trace step at {u} adds no vertices")
-        if step.case_label == W2 and len(step.added) < 2:
-            raise ValueError(f"W2 step at {u} adds fewer than 2 vertices")
-        if step.case_label != W2 and len(step.added) != 1:
-            raise ValueError(f"{step.case_label} step at {u} adds {len(step.added)} vertices")
+        if label == W2:
+            if end - begin < 2:
+                raise ValueError(f"W2 step at {u} adds fewer than 2 vertices")
+            r = rank[u]
+        else:
+            if end - begin != 1:
+                raise ValueError(f"{label} step at {u} adds {end - begin} vertices")
+            max_rank += 1
+            r = max_rank
         neighbors = set(g.adjacency[u])
-        for v in step.added:
+        for v in added[begin:end]:
             if v not in neighbors:
                 raise ValueError(f"trace adds non-neighbor {v} at {u}")
             if in_tree[v]:
                 raise ValueError(f"trace adds vertex {v} twice")
             in_tree[v] = 1
-        if step.case_label == W2:
-            for v in step.added:
-                rank[v] = rank[u]
-        else:
-            max_rank += 1
-            rank[step.added[0]] = max_rank
+            rank[v] = r
+        begin = end
     if not all(in_tree):
         raise ValueError("trace does not span all vertices")
     return rank
@@ -90,12 +99,6 @@ class RankForest:
 
     def big_component_count(self) -> int:
         return sum(1 for comp in self.components if len(comp) >= 3)
-
-    def unique_rank_vertices(self) -> frozenset[int]:
-        return frozenset(comp[0] for comp in self.components if len(comp) == 1)
-
-    def forest_leaves(self) -> frozenset[int]:
-        return frozenset(v for v, d in enumerate(self.f_degree) if d == 1)
 
 
 def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:

@@ -70,9 +70,12 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _trace_lines(trace) -> list[str]:
     lines = []
-    for i, step in enumerate(trace.steps, start=1):
-        added = ",".join(str(v) for v in step.added)
-        lines.append(f"step={i} case={step.case_label} center={step.center} added={added}")
+    begin = 0
+    for i, (center, label, end) in enumerate(
+            zip(trace.centers, trace.labels, trace.ends), start=1):
+        added = ",".join(map(str, trace.added[begin:end]))
+        lines.append(f"step={i} case={label} center={center} added={added}")
+        begin = end
     return lines
 
 
@@ -263,3 +266,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -13,12 +13,20 @@ Scheduling uses two FIFO queues (w2, w1) and one LIFO stack (w0) over the
 current leaves plus a per-vertex count of neighbors outside the tree, so a
 whole run costs O(n + m) regardless of expansion order. Every tie is broken
 deterministically (adjacency order), so identical inputs give identical runs.
+
+The run is recorded flat: parallel tuples of step centers, case labels and
+cumulative end offsets into one tuple of added vertices. ExpansionStep
+objects are built only when a caller reads ExpansionTrace.steps. The work
+counter touches is computed once at the end from the exact identity
+touches = 2m + (sum of final scan pointers) + (number of W1 peeks).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 from .graph import Graph
 
@@ -60,7 +68,7 @@ class StartPolicy:
         raise ValueError(f"unknown start policy {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionStep:
     """One tree expansion: all outside neighbors of center joined at once."""
 
@@ -73,13 +81,47 @@ class ExpansionStep:
 class ExpansionTrace:
     """Replayable record of a run: start vertex plus the ordered steps.
 
+    Stored flat: step i expanded at centers[i] under case labels[i] and
+    added added[ends[i - 1]:ends[i]], the first step starting at 0. So ends
+    is strictly increasing and its last entry is len(added). steps views the
+    same run as ExpansionStep objects, built on first access.
+
     touches counts adjacency-list entries read during the run; it is the
-    work-accounting instrument behind the linear-time contract.
+    work-accounting instrument behind the linear-time contract. tree()
+    obtains it as 2m (each vertex's row read once by the count decrement
+    when the vertex joins) plus its final scan pointers plus one peeked
+    entry per W1 check.
     """
 
     start: int
-    steps: tuple[ExpansionStep, ...]
+    centers: tuple[int, ...] = ()
+    labels: tuple[str, ...] = ()
+    ends: tuple[int, ...] = ()
+    added: tuple[int, ...] = ()
     touches: int = 0
+
+    @classmethod
+    def from_steps(cls, start: int, steps: Iterable[ExpansionStep],
+                   touches: int = 0) -> "ExpansionTrace":
+        """Flatten hand-built steps into a trace."""
+        centers, labels, ends, added = [], [], [], []
+        for step in steps:
+            centers.append(step.center)
+            labels.append(step.case_label)
+            added += step.added
+            ends.append(len(added))
+        return cls(start, tuple(centers), tuple(labels), tuple(ends), tuple(added),
+                   touches)
+
+    @cached_property
+    def steps(self) -> tuple[ExpansionStep, ...]:
+        added = self.added
+        steps = []
+        begin = 0
+        for center, label, end in zip(self.centers, self.labels, self.ends):
+            steps.append(ExpansionStep(center, label, added[begin:end]))
+            begin = end
+        return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -147,18 +189,20 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
     raise ValueError(f"unknown start policy kind {policy.kind!r}")
 
 
-def _finish_tree(n: int, root: int, parent: list[int | None]) -> SpanningTree:
-    tree_degree = [0] * n
-    for v, p in enumerate(parent):
-        if p is not None:
-            tree_degree[v] += 1
-            tree_degree[p] += 1
-    leaves = frozenset(v for v in range(n) if tree_degree[v] == 1)
-    return SpanningTree(root, tuple(parent), leaves)
+def _leaf_set(start: int, centers: list[int], ends: list[int],
+              added: list[int]) -> frozenset[int]:
+    """Leaves of a finished run. A non-root vertex is internal exactly when it
+    was a center; the root's children are exactly its first step's, so it is
+    a leaf when that step added one vertex."""
+    leaves = set(added)
+    leaves.difference_update(centers)
+    if ends[0] == 1:
+        leaves.add(start)
+    return frozenset(leaves)
 
 
 def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, ExpansionTrace]:
-    """Build a spanning tree of the connected graph g by greedy expansion.
+    """Build a spanning tree of the connected simple graph g by greedy expansion.
 
     Returns the tree plus the expansion trace. Deterministic for a fixed
     (graph, policy). Raises DisconnectedGraphError when g is disconnected.
@@ -168,7 +212,7 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     n = g.n
     start = pick_start(g, policy)
     if n == 1:
-        return _finish_tree(1, start, [None]), ExpansionTrace(start, ())
+        return SpanningTree(start, (None,)), ExpansionTrace(start)
 
     adjacency = g.adjacency
     in_tree = bytearray(n)
@@ -180,77 +224,84 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     w2: deque[int] = deque()
     w1: deque[int] = deque()
     w0: list[int] = []
-    touches = 0
-    spanned = 1
-    steps: list[ExpansionStep] = []
+    centers: list[int] = []
+    labels: list[str] = []
+    ends: list[int] = []
+    added: list[int] = []
+    peeks = 0
 
     in_tree[start] = 1
     for w in adjacency[start]:
         cnt[w] -= 1
-    touches += len(adjacency[start])
-
-    def expand(u: int) -> tuple[int, ...]:
-        nonlocal spanned, touches
+    # The start's own step is W2, or W0 when it adds a single vertex (n == 2).
+    u, label = start, ""
+    while True:
         au = adjacency[u]
-        added = []
-        for i in range(ptr[u], len(au)):
-            v = au[i]
+        p = ptr[u]
+        base = len(added)
+        # Joining each neighbor as the scan meets it is safe: a simple
+        # graph's row lists every neighbor once.
+        for v in (au[p:] if p else au):
             if not in_tree[v]:
+                in_tree[v] = 1
+                parent[v] = u
                 added.append(v)
-        touches += len(au) - ptr[u]
+                for w in adjacency[v]:
+                    cnt[w] -= 1
         ptr[u] = len(au)
-        for v in added:
-            in_tree[v] = 1
-            parent[v] = u
-            w2.append(v)
-            av = adjacency[v]
-            for w in av:
-                cnt[w] -= 1
-            touches += len(av)
-        spanned += len(added)
-        return tuple(added)
+        end = len(added)
+        if end > base:
+            centers.append(u)
+            labels.append(label or (W2 if end - base >= 2 else W0))
+            ends.append(end)
+            w2.extend(added[base:])
+        if end + 1 >= n:
+            break
+        # Pick the next center and its case.
+        while True:
+            if w2:
+                u = w2.popleft()
+                c = cnt[u]
+                if c >= 2:
+                    label = W2
+                    break
+                if c == 1:
+                    w1.append(u)
+            elif w1:
+                u = w1.popleft()
+                if cnt[u] == 0:
+                    continue
+                au = adjacency[u]
+                i = ptr[u]
+                while in_tree[au[i]]:
+                    i += 1
+                ptr[u] = i
+                peeks += 1
+                # v = au[i] joined next would itself have exactly one outside
+                # neighbor: defer u to the depth-first stack instead.
+                if cnt[au[i]] == 1:
+                    w0.append(u)
+                    continue
+                label = W1
+                break
+            elif w0:
+                u = w0.pop()
+                if cnt[u]:
+                    label = W0
+                    break
+            else:
+                raise DisconnectedGraphError(
+                    f"graph is disconnected: reached {end + 1} of {n} vertices")
 
-    added = expand(start)
-    if added:
-        steps.append(ExpansionStep(start, W2 if len(added) >= 2 else W0, added))
-
-    while spanned < n:
-        if w2:
-            u = w2.popleft()
-            c = cnt[u]
-            if c == 0:
-                continue
-            if c == 1:
-                w1.append(u)
-                continue
-            steps.append(ExpansionStep(u, W2, expand(u)))
-        elif w1:
-            u = w1.popleft()
-            if cnt[u] == 0:
-                continue
-            au = adjacency[u]
-            i = ptr[u]
-            while in_tree[au[i]]:
-                i += 1
-            touches += i - ptr[u] + 1
-            ptr[u] = i
-            v = au[i]
-            # v joined next would itself have exactly one outside neighbor:
-            # defer u to the depth-first stack instead of expanding now.
-            if cnt[v] == 1:
-                w0.append(u)
-                continue
-            steps.append(ExpansionStep(u, W1, expand(u)))
-        elif w0:
-            u = w0.pop()
-            if cnt[u] == 0:
-                continue
-            steps.append(ExpansionStep(u, W0, expand(u)))
-        else:
-            raise DisconnectedGraphError(
-                f"graph is disconnected: reached {spanned} of {n} vertices")
-
-    return _finish_tree(n, start, parent), ExpansionTrace(start, tuple(steps), touches)
+    # Exact work count, not an estimate: every vertex's row is read once by
+    # the count decrement when it joins (2m in all), and every other entry
+    # read is a scan read that advanced ptr, except the one entry each W1
+    # check peeks at without moving past it.
+    touches = 2 * g.m + sum(ptr) + peeks
+    t = SpanningTree(start, tuple(parent), _leaf_set(start, centers, ends, added))
+    trace = ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
+                           tuple(added), touches)
+    return t, trace
 
 
 def verify_spanning_tree(g: Graph, t: SpanningTree) -> TreeCheck:

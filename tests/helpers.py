@@ -1,15 +1,123 @@
-"""Shared test helpers: an independent step-semantics replayer, the
-instance sets of the acceptance campaigns and hypothesis strategies for
-random connected graphs."""
+"""Shared test helpers: the reference solver and an independent
+step-semantics replayer, the instance sets of the acceptance campaigns and
+hypothesis strategies for random connected graphs."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
-from maxleaf import (CertificateError, ExpansionTrace, Graph, InstanceSpec,
-                     LemmaReport, RankForest, SpanningTree, generate)
+from maxleaf import (CertificateError, DisconnectedGraphError, ExpansionStep,
+                     ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
+                     SpanningTree, StartPolicy, generate, pick_start)
+from maxleaf.solver import W0, W1, W2
+
+
+def _finish_tree(n: int, root: int, parent: list[int | None]) -> SpanningTree:
+    tree_degree = [0] * n
+    for v, p in enumerate(parent):
+        if p is not None:
+            tree_degree[v] += 1
+            tree_degree[p] += 1
+    leaves = frozenset(v for v in range(n) if tree_degree[v] == 1)
+    return SpanningTree(root, tuple(parent), leaves)
+
+
+def reference_tree(g: Graph, policy: StartPolicy | None = None
+                   ) -> tuple[SpanningTree, ExpansionTrace]:
+    """The solver with one ExpansionStep per step, an expand closure that
+    counts touches as it reads, and leaves taken from tree degrees; tree()
+    must match it in tree, trace and touches."""
+    if policy is None:
+        policy = StartPolicy.first_eligible()
+    n = g.n
+    start = pick_start(g, policy)
+    if n == 1:
+        return _finish_tree(1, start, [None]), ExpansionTrace.from_steps(start, ())
+
+    adjacency = g.adjacency
+    in_tree = bytearray(n)
+    parent: list[int | None] = [None] * n
+    # cnt[w] = number of neighbors of w outside the tree, for every w
+    cnt = [len(a) for a in adjacency]
+    # scan pointer per vertex: entries before it are known to be in the tree
+    ptr = [0] * n
+    w2: deque[int] = deque()
+    w1: deque[int] = deque()
+    w0: list[int] = []
+    touches = 0
+    spanned = 1
+    steps: list[ExpansionStep] = []
+
+    in_tree[start] = 1
+    for w in adjacency[start]:
+        cnt[w] -= 1
+    touches += len(adjacency[start])
+
+    def expand(u: int) -> tuple[int, ...]:
+        nonlocal spanned, touches
+        au = adjacency[u]
+        added = []
+        for i in range(ptr[u], len(au)):
+            v = au[i]
+            if not in_tree[v]:
+                added.append(v)
+        touches += len(au) - ptr[u]
+        ptr[u] = len(au)
+        for v in added:
+            in_tree[v] = 1
+            parent[v] = u
+            w2.append(v)
+            av = adjacency[v]
+            for w in av:
+                cnt[w] -= 1
+            touches += len(av)
+        spanned += len(added)
+        return tuple(added)
+
+    added = expand(start)
+    if added:
+        steps.append(ExpansionStep(start, W2 if len(added) >= 2 else W0, added))
+
+    while spanned < n:
+        if w2:
+            u = w2.popleft()
+            c = cnt[u]
+            if c == 0:
+                continue
+            if c == 1:
+                w1.append(u)
+                continue
+            steps.append(ExpansionStep(u, W2, expand(u)))
+        elif w1:
+            u = w1.popleft()
+            if cnt[u] == 0:
+                continue
+            au = adjacency[u]
+            i = ptr[u]
+            while in_tree[au[i]]:
+                i += 1
+            touches += i - ptr[u] + 1
+            ptr[u] = i
+            v = au[i]
+            # v joined next would itself have exactly one outside neighbor:
+            # defer u to the depth-first stack instead of expanding now.
+            if cnt[v] == 1:
+                w0.append(u)
+                continue
+            steps.append(ExpansionStep(u, W1, expand(u)))
+        elif w0:
+            u = w0.pop()
+            if cnt[u] == 0:
+                continue
+            steps.append(ExpansionStep(u, W0, expand(u)))
+        else:
+            raise DisconnectedGraphError(
+                f"graph is disconnected: reached {spanned} of {n} vertices")
+
+    return _finish_tree(n, start, parent), ExpansionTrace.from_steps(start, steps, touches)
 
 
 def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
@@ -99,11 +207,19 @@ def shuffled_edgelist(g: Graph, rng: random.Random) -> str:
     return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def unique_rank_vertices(f: RankForest) -> frozenset[int]:
+    return frozenset(comp[0] for comp in f.components if len(comp) == 1)
+
+
+def forest_leaves(f: RankForest) -> frozenset[int]:
+    return frozenset(v for v, d in enumerate(f.f_degree) if d == 1)
+
+
 def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest,
                            max_path_checks: int = 10_000_000) -> LemmaReport:
     """Sort-based lemma audit over frozensets and g.edge_list(); check_lemmas must match it."""
-    unique = f.unique_rank_vertices()
-    leaves_f = f.forest_leaves()
+    unique = unique_rank_vertices(f)
+    leaves_f = forest_leaves(f)
     adjacency = g.adjacency
     local_degree = []
     truncated = False

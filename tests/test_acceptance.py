@@ -18,7 +18,7 @@ from maxleaf import (InstanceSpec, compare, generate, leaf_count,
                      max_leaf_exact, tight_search, tree)
 from maxleaf.cli import main
 
-from helpers import atlas_connected_graphs, campaign_schedule
+from helpers import atlas_connected_graphs, campaign_schedule, unique_rank_vertices
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -94,7 +94,7 @@ def test_criterion_3_lemma_suite(campaign_summary):
         forest = build_forest(g, t, rank)   # raises on any forest invariant breach
         counts = Counter(rank)
         unique = {v for v, r in enumerate(rank) if counts[r] == 1}
-        assert forest.unique_rank_vertices() == unique
+        assert unique_rank_vertices(forest) == unique
         if not check_lemmas(g, rank, forest).passed:
             lemma_failures.append(spec)
 
@@ -122,13 +122,15 @@ def test_criterion_4_tightness_reproduction():
 
 def test_criterion_5_linear_time_behavior():
     # Measured in a fresh process: timings in a long-lived test process are
-    # skewed by heap state left behind by the preceding campaigns.
+    # skewed by heap state left behind by the preceding campaigns. Fifteen
+    # passes: the rung where the graph outgrows the cache reads about 2.8 on
+    # a shared 2-vCPU host, and five passes scattered it past 3.
     import subprocess
     import sys
 
     driver = (
         "from maxleaf.bench import run_ladder\n"
-        "for r in run_ladder((16, 21), runs=5, seed=0):\n"
+        "for r in run_ladder((16, 21), runs=15, seed=0):\n"
         "    print(r.m, r.n, r.median_ms, "
         "'-' if r.ratio is None else r.ratio, r.touches, r.touch_limit)\n"
     )

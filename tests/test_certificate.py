@@ -11,7 +11,7 @@ from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
                      compute_certificate, generate, parse, tree)
 
 from helpers import (connected_graphs, reference_build_forest, reference_check_lemmas,
-                     shuffled_edgelist)
+                     shuffled_edgelist, unique_rank_vertices)
 
 
 def run_pipeline(g):
@@ -127,16 +127,38 @@ def test_cycle5_upward_neighbors_are_unique():
 def test_assign_ranks_rejects_inconsistent_traces():
     g = generate(InstanceSpec("cycle", (5,)))
     _, trace = tree(g)
-    stranger = ExpansionTrace(trace.start, trace.steps + (
+    stranger = ExpansionTrace.from_steps(trace.start, trace.steps + (
         ExpansionStep(0, "W1", (2,)),), trace.touches)
     with pytest.raises(ValueError):
         assign_ranks(g, stranger)
-    not_a_neighbor = ExpansionTrace(0, (ExpansionStep(0, "W2", (2, 3)),))
+    not_a_neighbor = ExpansionTrace.from_steps(0, (ExpansionStep(0, "W2", (2, 3)),))
     with pytest.raises(ValueError, match="non-neighbor"):
         assign_ranks(g, not_a_neighbor)
-    partial = ExpansionTrace(0, trace.steps[:1], 0)
+    partial = ExpansionTrace.from_steps(0, trace.steps[:1], 0)
     with pytest.raises(ValueError, match="span"):
         assign_ranks(g, partial)
+
+
+def test_assign_ranks_rejects_malformed_flat_layouts():
+    g = generate(InstanceSpec("star", (5,)))
+    _, trace = tree(g)
+    assert (trace.centers, trace.labels, trace.ends, trace.added) == \
+        ((0,), ("W2",), (4,), (1, 2, 3, 4))
+    assign_ranks(g, trace)
+    added = (1, 2, 3, 4)
+    malformed = [
+        (ExpansionTrace(0, (0, 0), ("W2",), (4,), added), "2 centers, 1 labels and 1 ends"),
+        (ExpansionTrace(0, (0,), ("W2", "W2"), (4,), added), "1 centers, 2 labels and 1 ends"),
+        (ExpansionTrace(0, (0,), ("W2",), (2, 4), added), "1 centers, 1 labels and 2 ends"),
+        (ExpansionTrace(0, (0,) * 3, ("W2",) * 3, (2, 2, 4), added), "adds no vertices"),
+        (ExpansionTrace(0, (0,) * 3, ("W2",) * 3, (2, 1, 4), added), "adds no vertices"),
+        (ExpansionTrace(0, (0,), ("W2",), (3,), added), "ends at 3, not at its 4 added"),
+        (ExpansionTrace(0, (0,), ("W2",), (5,), added), "ends at 5, not at its 4 added"),
+        (ExpansionTrace(0, (), (), (), (1,)), "ends at 0, not at its 1 added"),
+    ]
+    for bad, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            assign_ranks(g, bad)
 
 
 def test_build_forest_flags_corrupt_ranks():
@@ -210,7 +232,7 @@ def test_unique_ranks_are_the_singletons(g):
     forest = build_forest(g, t, rank)
     counts = Counter(rank)
     unique = {v for v, r in enumerate(rank) if counts[r] == 1}
-    assert forest.unique_rank_vertices() == unique
+    assert unique_rank_vertices(forest) == unique
     assert forest.singleton_count() == len(unique)
     assert {v for v, d in enumerate(forest.f_degree) if d == 0} == unique
 

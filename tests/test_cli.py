@@ -19,6 +19,25 @@ def test_solve_star_file(tmp_path, capsys):
     assert out == "n=5\nm=4\nleaves=4\n"
 
 
+@pytest.mark.parametrize("module", ["maxleaf", "maxleaf.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    import os
+    import subprocess
+    import sys
+
+    import maxleaf
+
+    argv = ["certify", "--gen", "grid:5x7"]
+    _, expected, _ = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(maxleaf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))

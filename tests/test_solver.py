@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from maxleaf import (DisconnectedGraphError, Graph, InstanceSpec, StartPolicy,
-                     generate, leaf_count, parse, pick_start, tree,
-                     verify_spanning_tree)
+from maxleaf import (DisconnectedGraphError, ExpansionStep, ExpansionTrace, Graph,
+                     InstanceSpec, StartPolicy, generate, leaf_count, parse,
+                     pick_start, tree, verify_spanning_tree)
 
-from helpers import connected_graphs, replay_trace, tree_degrees
+from helpers import (atlas_connected_graphs, connected_graphs, reference_tree,
+                     replay_trace, tree_degrees)
 
 
 def steps_of(trace):
@@ -161,3 +164,75 @@ def test_expansion_count_is_at_most_n_minus_1():
         g = generate(InstanceSpec("random_connected", (14, 20), seed))
         _, trace = tree(g)
         assert len(trace.steps) <= g.n - 1
+
+
+def policies_for(g: Graph) -> list[StartPolicy]:
+    """first, maxdeg, and an explicit start at the last vertex that may start."""
+    last = max(v for v in range(g.n) if g.n <= 2 or g.degree(v) >= 2)
+    return [StartPolicy.first_eligible(), StartPolicy.max_degree(),
+            StartPolicy.explicit(last)]
+
+
+def assert_matches_reference(g: Graph) -> None:
+    for policy in policies_for(g):
+        t, trace = tree(g, policy)
+        ref_t, ref_trace = reference_tree(g, policy)
+        assert t.parent == ref_t.parent
+        assert t.leaf_set == ref_t.leaf_set
+        assert t == ref_t
+        assert trace.steps == ref_trace.steps
+        assert trace.touches == ref_trace.touches
+        assert trace == ref_trace
+
+
+def test_matches_the_reference_solver_on_the_atlas():
+    for g in atlas_connected_graphs():
+        assert_matches_reference(g)
+
+
+def test_matches_the_reference_solver_on_random_graphs():
+    rng = random.Random(6)
+    for seed in range(300):
+        n = rng.randint(2, 60)
+        # every third graph is dense: up to all C(n, 2) edges
+        cap = n * (n - 1) // 2 if seed % 3 == 0 else min(n * (n - 1) // 2, 3 * n)
+        m = rng.randint(n - 1, cap)
+        assert_matches_reference(generate(InstanceSpec("random_connected", (n, m), seed)))
+
+
+def test_disconnected_input_fails_like_the_reference_solver():
+    rng = random.Random(7)
+    graphs = [Graph.from_edges(2, []), Graph.from_edges(3, [(0, 1)]),
+              Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
+    for seed in range(30):
+        n1, n2 = rng.randint(3, 12), rng.randint(1, 12)
+        m1 = rng.randint(n1 - 1, min(2 * n1, n1 * (n1 - 1) // 2))
+        g1 = generate(InstanceSpec("random_connected", (n1, m1), seed))
+        edges = g1.edge_list()
+        if n2 >= 2:
+            g2 = generate(InstanceSpec("random_connected", (n2, n2 - 1), seed))
+            edges += [(u + n1, v + n1) for u, v in g2.edge_list()]
+        graphs.append(Graph.from_edges(n1 + n2, edges))
+    for g in graphs:
+        for policy in (StartPolicy.first_eligible(), StartPolicy.max_degree()):
+            with pytest.raises(DisconnectedGraphError) as expected:
+                reference_tree(g, policy)
+            with pytest.raises(DisconnectedGraphError, match="disconnected") as got:
+                tree(g, policy)
+            assert str(got.value) == str(expected.value)
+
+
+@given(connected_graphs(max_n=14))
+@settings(max_examples=60, deadline=None)
+def test_from_steps_rebuilds_the_trace(g):
+    _, trace = tree(g)
+    assert ExpansionTrace.from_steps(trace.start, trace.steps, trace.touches) == trace
+
+
+def test_steps_view_of_a_hand_built_trace():
+    steps = (ExpansionStep(0, "W2", (1, 4)), ExpansionStep(4, "W0", (3,)),
+             ExpansionStep(3, "W1", (2,)))
+    trace = ExpansionTrace.from_steps(0, steps, 17)
+    assert (trace.centers, trace.labels, trace.ends, trace.added, trace.touches) == \
+        ((0, 4, 3), ("W2", "W0", "W1"), (2, 3, 4), (1, 4, 3, 2), 17)
+    assert trace.steps == steps
