@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, filterfalse
 from typing import Iterable
 
 from .graph import Graph
@@ -189,16 +190,19 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
     raise ValueError(f"unknown start policy kind {policy.kind!r}")
 
 
-def _leaf_set(start: int, centers: list[int], ends: list[int],
+def _leaf_set(n: int, start: int, centers: list[int], ends: list[int],
               added: list[int]) -> frozenset[int]:
     """Leaves of a finished run. A non-root vertex is internal exactly when it
     was a center; the root's children are exactly its first step's, so it is
     a leaf when that step added one vertex."""
-    leaves = set(added)
-    leaves.difference_update(centers)
+    internal = bytearray(n)
+    for u in centers:
+        internal[u] = 1
     if ends[0] == 1:
-        leaves.add(start)
-    return frozenset(leaves)
+        internal[start] = 0
+    # Filtering grows the set with the leaves alone: a set of all n vertices
+    # would need a table several times larger, fresh pages on every call.
+    return frozenset(filterfalse(internal.__getitem__, chain((start,), added)))
 
 
 def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, ExpansionTrace]:
@@ -298,7 +302,7 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     # read is a scan read that advanced ptr, except the one entry each W1
     # check peeks at without moving past it.
     touches = 2 * g.m + sum(ptr) + peeks
-    t = SpanningTree(start, tuple(parent), _leaf_set(start, centers, ends, added))
+    t = SpanningTree(start, tuple(parent), _leaf_set(n, start, centers, ends, added))
     trace = ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
                            tuple(added), touches)
     return t, trace
