@@ -188,7 +188,11 @@ def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Witness lists per lemma check; all empty on a correct run."""
+    """Witness lists per lemma check; all empty on a correct run.
+
+    A truncated report has left some local_degree paths unchecked, so it
+    does not pass even when every list is empty.
+    """
 
     local_degree: tuple[tuple[int, int, int], ...]      # u, v, w path witnesses
     upward_neighbor: tuple[tuple[int, int, int], ...]   # u with two higher nbrs
@@ -199,7 +203,7 @@ class LemmaReport:
     @property
     def passed(self) -> bool:
         return not (self.local_degree or self.upward_neighbor
-                    or self.branch_rank or self.unique_over_leaf)
+                    or self.branch_rank or self.unique_over_leaf or self.truncated)
 
     def witness_counts(self) -> tuple[int, int, int, int]:
         return (len(self.local_degree), len(self.upward_neighbor),

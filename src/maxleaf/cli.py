@@ -184,17 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maximum-leaf spanning trees: greedy solver, certificates, exact oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, input_source: bool = True) -> None:
-        if input_source:
+    def add_common(p: argparse.ArgumentParser, source: bool = True,
+                   fmt: bool = True, policy: bool = True) -> None:
+        """Add the shared flags; each command turns off those it does not read."""
+        if source:
             p.add_argument("input", nargs="?", default=None,
                            help="input file path, or '-' for stdin")
             p.add_argument("--gen", default=None, metavar="SPEC",
                            help="generate the input instead: cycle:N, star:N, "
                                 "complete:N, grid:RxC, random:N:M, tight:NMAX:TRIALS")
-        p.add_argument("--format", choices=FORMATS, default="edgelist")
-        p.add_argument("--start-policy", dest="policy", type=StartPolicy.parse,
-                       default=StartPolicy.first_eligible(), metavar="POLICY",
-                       help="first | maxdeg | vertex:<id> (default: first)")
+        if fmt:
+            p.add_argument("--format", choices=FORMATS, default="edgelist")
+        if policy:
+            p.add_argument("--start-policy", dest="policy", type=StartPolicy.parse,
+                           default=StartPolicy.first_eligible(), metavar="POLICY",
+                           help="first | maxdeg | vertex:<id> (default: first)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="build a spanning tree and report its leaf count")
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle", help="exact maximum leaf count by enumeration")
-    add_common(p)
+    add_common(p, policy=False)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max spanning trees to enumerate")
     p.add_argument("--edges", action="store_true", help="print witness tree edges")
@@ -217,22 +221,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="algorithm vs exact optimum on one instance")
     add_common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max trees the bound-pruned enumeration may visit")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="generate an instance and print it")
-    add_common(p)
+    add_common(p, policy=False)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="scaling benchmark along a doubling edge ladder")
-    add_common(p, input_source=False)
+    add_common(p, source=False, fmt=False)
     p.add_argument("--ladder", default="16:21", metavar="LO:HI",
                    help="exponent range, m = 2^LO .. 2^HI (default 16:21)")
     p.add_argument("--runs", type=int, default=bench_mod.DEFAULT_RUNS)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("tight-search", help="search for instances with high opt/alg ratio")
-    add_common(p, input_source=False)
+    add_common(p, source=False)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--out", default="tight-best.edgelist",

@@ -6,8 +6,11 @@
   no longer connect the graph. Every spanning tree is visited exactly once,
   which makes the enumeration count itself a testable quantity (n^(n-2) on
   complete graphs). Intended for n <= 12 or so; a budget caps the number of
-  trees examined. compare() and the CLI `oracle` and `compare` commands use
-  it, since they report that count and honour --budget.
+  trees examined. The CLI `oracle` command reports that count, so it
+  enumerates every tree. compare() (and with it the CLI `compare` command
+  and the acceptance campaigns) reads only the optimum, so it turns on the
+  bound prune, which skips branches that cannot beat the best tree so far:
+  same optimum and witness, fewer trees examined.
 
 * max_leaf_cds uses the identity max leaves = n - gamma_c(G) for connected
   G with n >= 3, where gamma_c is the size of a minimum connected dominating
@@ -47,10 +50,6 @@ class OracleDisagreementError(RuntimeError):
     """The two exact engines gave incompatible answers on the same graph."""
 
 
-class _Budget(Exception):
-    pass
-
-
 def _tree_from_edges(n: int, edges: tuple[tuple[int, int], ...]) -> SpanningTree:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -81,8 +80,11 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     so it stays off wherever the count matters.
 
     If more than `budget` trees exist, enumeration stops after `budget` of
-    them and the result carries budget_exhausted=True.
+    them and the result carries budget_exhausted=True. A budget below 1
+    raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"tree budget must be at least 1, got {budget}")
     n = g.n
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
@@ -90,7 +92,6 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
         return OracleResult(0, _tree_from_edges(1, ()), 1)
 
     edges = g.edge_list()
-    m = len(edges)
     root = list(range(n))          # union-find without path splitting: n is tiny
 
     def find(x: int) -> int:
@@ -124,47 +125,44 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
                     return True
         return comps == 1
 
-    def rec(i: int) -> None:
+    # Every call starts from included edges that, with edges[i:], still
+    # connect the graph: true for the connected input, kept by an include
+    # and checked before an exclude.
+    def rec(i: int) -> bool:
+        """Visit the trees below this branch; False once one beyond the budget turns up."""
         nonlocal best_leaves, best_edges, trees, internal
         if len(chosen) == n - 1:
             if trees >= budget:
-                raise _Budget   # a tree beyond the budget exists
+                return False
             trees += 1
-            leaves = sum(1 for d in deg if d == 1)
-            et = tuple(chosen)
-            if leaves > best_leaves or (leaves == best_leaves and et < best_edges):
+            leaves = deg.count(1)
+            # Include-first over the sorted edges visits trees in lexicographic
+            # order, so the first tree with the most leaves is the smallest.
+            if leaves > best_leaves:
                 best_leaves = leaves
-                best_edges = et
-            return
-        if m - i < n - 1 - len(chosen):
-            return
+                best_edges = tuple(chosen)
+            return True
         if prune_bound and n - internal < best_leaves:
-            return
+            return True
         u, v = edges[i]
         ru, rv = find(u), find(v)
-        if ru != rv:
-            root[ru] = rv
-            deg[u] += 1
-            deg[v] += 1
-            grew = (deg[u] == 2) + (deg[v] == 2)
-            internal += grew
-            chosen.append((u, v))
-            rec(i + 1)
-            chosen.pop()
-            internal -= grew
-            deg[u] -= 1
-            deg[v] -= 1
-            root[ru] = ru
-        if remaining_connects(i + 1):
-            rec(i + 1)
+        if ru == rv:               # closes a cycle: only the exclude branch, always connectable
+            return rec(i + 1)
+        root[ru] = rv
+        deg[u] += 1
+        deg[v] += 1
+        grew = (deg[u] == 2) + (deg[v] == 2)
+        internal += grew
+        chosen.append((u, v))
+        within = rec(i + 1)
+        chosen.pop()
+        internal -= grew
+        deg[u] -= 1
+        deg[v] -= 1
+        root[ru] = ru
+        return within and (not remaining_connects(i + 1) or rec(i + 1))
 
-    exhausted = False
-    try:
-        rec(0)
-    except _Budget:
-        exhausted = True
-    if best_leaves < 0:
-        raise DisconnectedGraphError("no spanning tree found")
+    exhausted = not rec(0)
     return OracleResult(best_leaves, _tree_from_edges(n, best_edges), trees, exhausted)
 
 
@@ -224,18 +222,17 @@ def max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
 
     The witness is a BFS tree inside D (from its lowest vertex, neighbours in
     adjacency order) with every other vertex attached as a leaf to its first
-    neighbour in D. Degenerate sizes match max_leaf_exact: n=1 gives 0 and
-    n=2 gives 2. Raises DisconnectedGraphError on disconnected input.
+    neighbour in D, rooted at vertex 0 like max_leaf_exact's witnesses.
+    Degenerate sizes match max_leaf_exact: n=1 gives 0 and n=2 gives 2.
+    Raises DisconnectedGraphError on disconnected input.
     """
     n = g.n
     adjacency = g.adjacency
-    if n == 1:
-        return 0, SpanningTree(0, (None,), frozenset())
     cut, reached = _articulation_points(adjacency)
     if reached != n:
         raise DisconnectedGraphError("oracle requires a connected graph")
-    if n == 2:
-        return 2, SpanningTree(0, (None, 0), frozenset((0, 1)))
+    if n <= 2:
+        return 2 * (n - 1), _tree_from_edges(n, g.edge_list())
 
     nbr = [0] * n
     closed = [0] * n
@@ -271,25 +268,20 @@ def max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
             break
 
     root = (d & -d).bit_length() - 1
-    parent: list[int | None] = [None] * n
     seen = 1 << root
     order = [root]
+    edges = []
     for x in order:
         for y in adjacency[x]:
             if d >> y & 1 and not seen >> y & 1:
                 seen |= 1 << y
-                parent[y] = x
+                edges.append((x, y))
                 order.append(y)
-    # A minimum D has no tree leaf of its own: one could be dropped from D.
-    leaves = []
     for v in range(n):
         if not d >> v & 1:
-            leaves.append(v)
-            for y in adjacency[v]:
-                if d >> y & 1:
-                    parent[v] = y
-                    break
-    return len(leaves), SpanningTree(root, tuple(parent), frozenset(leaves))
+            edges.append((v, next(y for y in adjacency[v] if d >> y & 1)))
+    # A minimum D has no tree leaf of its own: one could be dropped from D.
+    return n - d.bit_count(), _tree_from_edges(n, edges)
 
 
 @dataclass(frozen=True)
@@ -313,13 +305,17 @@ def compare(g: Graph, policy: StartPolicy | None = None,
     bound_ok checks opt <= 2*alg - 1 (the approximation guarantee),
     certificate_ok checks opt <= upper_bound (soundness of the bound).
     Both checks are skipped in the degenerate regime n < 3.
+
+    The oracle runs with prune_bound=True: only the optimum is read here,
+    not the tree count. budget therefore caps the trees the pruned search
+    visits, which are far fewer than all spanning trees.
     """
     t, trace = tree(g, policy)
     alg = leaf_count(t)
     cert = report = None
     if g.n >= 3:
         cert, report = certify(g, t, trace)
-    result = max_leaf_exact(g, budget=budget)
+    result = max_leaf_exact(g, budget=budget, prune_bound=True)
     opt = result.opt_leaves
     ratio = opt / alg if alg else 1.0
     bound_ok = opt <= 2 * alg - 1 if g.n >= 2 else True

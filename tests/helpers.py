@@ -1,4 +1,4 @@
-"""Shared test helpers: the reference solver and an independent
+"""Shared test helpers: the reference solver and enumerator, an independent
 step-semantics replayer, the instance sets of the acceptance campaigns and
 hypothesis strategies for random connected graphs."""
 
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from maxleaf import (CertificateError, DisconnectedGraphError, ExpansionStep,
                      ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
                      SpanningTree, StartPolicy, generate, pick_start)
+from maxleaf.graph import is_connected
+from maxleaf.oracle import DEFAULT_BUDGET, OracleResult, _tree_from_edges
 from maxleaf.solver import W0, W1, W2
 
 
@@ -118,6 +120,111 @@ def reference_tree(g: Graph, policy: StartPolicy | None = None
                 f"graph is disconnected: reached {spanned} of {n} vertices")
 
     return _finish_tree(n, start, parent), ExpansionTrace.from_steps(start, steps, touches)
+
+
+class _Budget(Exception):
+    pass
+
+
+def reference_max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
+                             prune_bound: bool = False) -> OracleResult:
+    """The enumerator as it was before its simplification, kept verbatim:
+    a _Budget exception, a tuple of the chosen edges per tree and an explicit
+    lexicographic tie-break. max_leaf_exact must match it on all four fields.
+
+    Enumerate all spanning trees of g and return a maximum-leaf witness.
+
+    Ties are broken toward the lexicographically smallest edge set. With
+    prune_bound=True, branches whose leaf potential cannot beat the incumbent
+    are cut; this keeps the result identical but makes trees_examined smaller,
+    so it stays off wherever the count matters.
+
+    If more than `budget` trees exist, enumeration stops after `budget` of
+    them and the result carries budget_exhausted=True.
+    """
+    n = g.n
+    if not is_connected(g):
+        raise DisconnectedGraphError("oracle requires a connected graph")
+    if n == 1:
+        return OracleResult(0, _tree_from_edges(1, ()), 1)
+
+    edges = g.edge_list()
+    m = len(edges)
+    root = list(range(n))          # union-find without path splitting: n is tiny
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    deg = [0] * n
+    chosen: list[tuple[int, int]] = []
+    best_leaves = -1
+    best_edges: tuple[tuple[int, int], ...] = ()
+    trees = 0
+    internal = 0                   # vertices with partial degree >= 2
+
+    def remaining_connects(i: int) -> bool:
+        # Can included edges plus edges[i:] still connect everything?
+        scratch = root.copy()
+
+        def sfind(x: int) -> int:
+            while scratch[x] != x:
+                x = scratch[x]
+            return x
+
+        comps = n - len(chosen)
+        for u, v in edges[i:]:
+            ru, rv = sfind(u), sfind(v)
+            if ru != rv:
+                scratch[ru] = rv
+                comps -= 1
+                if comps == 1:
+                    return True
+        return comps == 1
+
+    def rec(i: int) -> None:
+        nonlocal best_leaves, best_edges, trees, internal
+        if len(chosen) == n - 1:
+            if trees >= budget:
+                raise _Budget   # a tree beyond the budget exists
+            trees += 1
+            leaves = sum(1 for d in deg if d == 1)
+            et = tuple(chosen)
+            if leaves > best_leaves or (leaves == best_leaves and et < best_edges):
+                best_leaves = leaves
+                best_edges = et
+            return
+        if m - i < n - 1 - len(chosen):
+            return
+        if prune_bound and n - internal < best_leaves:
+            return
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            deg[u] += 1
+            deg[v] += 1
+            grew = (deg[u] == 2) + (deg[v] == 2)
+            internal += grew
+            chosen.append((u, v))
+            rec(i + 1)
+            chosen.pop()
+            internal -= grew
+            deg[u] -= 1
+            deg[v] -= 1
+            root[ru] = ru
+        if remaining_connects(i + 1):
+            rec(i + 1)
+
+    exhausted = False
+    try:
+        rec(0)
+    except _Budget:
+        exhausted = True
+    if best_leaves < 0:
+        raise DisconnectedGraphError("no spanning tree found")
+    return OracleResult(best_leaves, _tree_from_edges(n, best_edges), trees, exhausted)
 
 
 def replay_trace(g: Graph, trace: ExpansionTrace) -> None:

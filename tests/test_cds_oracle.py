@@ -21,10 +21,15 @@ def check_cds(g: Graph, expected: int) -> None:
 
 
 def test_engines_agree_on_the_atlas():
+    # compare(), and with it criteria 1-3, runs the bound-pruned enumeration:
+    # it must give the plain enumeration's optimum and witness.
     graphs = atlas_connected_graphs()
     assert len(graphs) == 995
     for g in graphs:
-        check_cds(g, max_leaf_exact(g).opt_leaves)
+        plain = max_leaf_exact(g)
+        pruned = max_leaf_exact(g, prune_bound=True)
+        assert (pruned.opt_leaves, pruned.witness) == (plain.opt_leaves, plain.witness)
+        check_cds(g, plain.opt_leaves)
 
 
 def test_engines_agree_on_the_campaign_schedule():

@@ -282,6 +282,23 @@ def test_check_lemmas_flags_corrupt_ranks_and_respects_the_cap():
     assert capped.local_degree == ()
 
 
+def test_truncated_lemma_report_does_not_pass():
+    # Star with hub 0: only the hub's length-2 paths 1-0-3 and 2-0-3 violate
+    # anything, so a cap of 0 leaves every list empty but the scan unfinished.
+    from maxleaf import RankForest
+
+    g = generate(InstanceSpec("star", (4,)))
+    rank = [3, 1, 2, 4]
+    singletons = RankForest(components=((0,), (1,), (2,), (3,)), f_degree=(0, 0, 0, 0))
+    full = check_lemmas(g, rank, singletons)
+    assert full.local_degree == ((1, 0, 3), (2, 0, 3))
+    assert full.witness_counts() == (2, 0, 0, 0)
+    capped = check_lemmas(g, rank, singletons, max_path_checks=0)
+    assert capped.truncated
+    assert capped.witness_counts() == (0, 0, 0, 0)
+    assert not capped.passed
+
+
 def test_check_lemmas_golden_report_order():
     # Edges in shuffled order and orientation, so adjacency rows are not
     # ascending; the ranks are a shuffle of the genuine ones. The expected

@@ -160,6 +160,35 @@ def test_oracle_budget_exit_5(capsys):
     assert out.startswith("opt=")
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_budget_below_one_exits_1(capsys, command):
+    # The input is connected: a bad budget is a usage error, not exit 3.
+    code, out, err = run_cli(capsys, command, "--gen", "cycle:5", "--budget", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: tree budget must be at least 1, got 0\n"
+
+
+def test_compare_budget_bounds_the_pruned_search(capsys):
+    # K6 has 1296 spanning trees, but compare's pruned search visits 140.
+    code, out, err = run_cli(capsys, "compare", "--gen", "complete:6", "--budget", "200")
+    assert code == 0
+    assert err == ""
+    assert out == "alg=5 opt=5 ratio=1.0000 bound_ok=true\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--gen", "cycle:5", "--start-policy", "maxdeg"],
+    ["gen", "--gen", "cycle:5", "--start-policy", "maxdeg"],
+    ["bench", "--ladder", "8:8", "--runs", "1", "--format", "dimacs"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gen_round_trips_through_solve(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "gen", "--gen", "grid:3x3")
     assert code == 0

@@ -7,7 +7,10 @@ from maxleaf import (DisconnectedGraphError, Graph, InstanceSpec, compare,
                      generate, leaf_count, max_leaf_exact, tree,
                      verify_spanning_tree)
 
-from helpers import connected_graphs
+from maxleaf.oracle import DEFAULT_BUDGET
+
+from helpers import (atlas_connected_graphs, campaign_schedule, connected_graphs,
+                     reference_max_leaf_exact)
 
 
 def test_cycle5_optimum_is_two():
@@ -84,6 +87,24 @@ def test_budget_exactly_equal_to_tree_count_is_not_exhaustion():
     assert result.trees_examined == 125
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match="at least 1"):
+        max_leaf_exact(generate(InstanceSpec("cycle", (5,))), budget=budget)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 1, 7, 100])
+def test_matches_the_reference_enumerator(budget):
+    # All four fields, both prune modes: the optimum, the lexicographically
+    # smallest witness, the trees visited and whether the budget ran out.
+    graphs = atlas_connected_graphs()
+    graphs += [generate(spec) for spec in campaign_schedule(300)]
+    for g in graphs:
+        for prune_bound in (False, True):
+            assert max_leaf_exact(g, budget, prune_bound) == \
+                reference_max_leaf_exact(g, budget, prune_bound), g.edge_list()
+
+
 def test_bound_pruning_changes_counts_but_not_answers():
     for seed in range(15):
         g = generate(InstanceSpec("random_connected", (8, 14), seed))
@@ -112,6 +133,16 @@ def test_single_vertex():
     result = max_leaf_exact(Graph.from_edges(1, []))
     assert result.opt_leaves == 0
     assert result.trees_examined == 1
+
+
+def test_compare_budget_counts_pruned_trees():
+    # K6 has 1296 spanning trees; the bound-pruned search visits 140.
+    g = generate(InstanceSpec("complete", (6,)))
+    r = compare(g, budget=200)
+    assert not r.budget_exhausted
+    assert r.opt_leaves == 5
+    assert max_leaf_exact(g, prune_bound=True).trees_examined == 140
+    assert compare(g, budget=139).budget_exhausted
 
 
 def test_compare_star_and_cycle():
