@@ -44,6 +44,8 @@ def run_ladder(ladder: tuple[int, int] = DEFAULT_LADDER, runs: int = DEFAULT_RUN
     lo, hi = ladder
     if lo > hi:
         raise ValueError(f"ladder start {lo} exceeds stop {hi}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     graphs = []
     for exp in range(lo, hi + 1):
         m = 1 << exp

@@ -190,20 +190,20 @@ def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate
 class LemmaReport:
     """Witness lists per lemma check; all empty on a correct run.
 
-    A truncated report has left some local_degree paths unchecked, so it
-    does not pass even when every list is empty.
+    local_degree holds one path witness per violating (lower neighbor,
+    center) pair, so every list is bounded by the degrees: the report has
+    O(n + m) entries on any input.
     """
 
     local_degree: tuple[tuple[int, int, int], ...]      # u, v, w path witnesses
     upward_neighbor: tuple[tuple[int, int, int], ...]   # u with two higher nbrs
     branch_rank: tuple[tuple[int, int], ...]            # forest-internal u below v
     unique_over_leaf: tuple[tuple[int, int], ...]       # unique-rank u not above leaf v
-    truncated: bool = False
 
     @property
     def passed(self) -> bool:
         return not (self.local_degree or self.upward_neighbor
-                    or self.branch_rank or self.unique_over_leaf or self.truncated)
+                    or self.branch_rank or self.unique_over_leaf)
 
     def witness_counts(self) -> tuple[int, int, int, int]:
         return (len(self.local_degree), len(self.upward_neighbor),
@@ -215,8 +215,7 @@ def _edge_order(pair: tuple[int, int]) -> tuple[int, int, bool]:
     return (a, b, False) if a < b else (b, a, True)
 
 
-def check_lemmas(g: Graph, rank: list[int], f: RankForest,
-                 max_path_checks: int = 10_000_000) -> LemmaReport:
+def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
     """Exhaustively check the four structural facts the bound rests on.
 
     1. local_degree: on a path u-v-w with u, v of unique rank and
@@ -227,10 +226,12 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest,
     4. unique_over_leaf: on an edge from a unique-rank vertex to a forest
        leaf, the unique-rank endpoint has the strictly higher rank.
 
-    The length-2 path scan is capped at max_path_checks pair checks; the
-    report is flagged truncated if the cap is hit. g must be a simple graph
-    with symmetric adjacency (Graph.validate). One pass over the vertices
-    in id order does all four checks in O(n + m).
+    A violating center v of check 1 is listed once per lower unique
+    neighbor u, as (u, v, w) with w its first higher neighbor; check 2
+    already reports every vertex with two or more higher neighbors. g must
+    be a simple graph with symmetric adjacency (Graph.validate). One pass
+    over the vertices in id order does all four checks, and the report
+    they produce, in O(n + m).
     """
     n = g.n
     adjacency = g.adjacency
@@ -245,8 +246,6 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest,
     upward_neighbor = []
     branch_rank = []
     unique_over_leaf = []
-    truncated = False
-    checks = 0
     for u in range(n):
         ru = rank[u]
         nbrs = adjacency[u]
@@ -259,24 +258,18 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest,
         if not unique[u]:
             continue
         unique_over_leaf.extend((u, v) for v in nbrs if leaf_f[v] and ru <= rank[v])
-        # Contrapositive scan: only unique-rank centers of degree >= 3 can violate.
-        if len(nbrs) < 3:
-            continue
-        lower_unique = [w for w in nbrs if unique[w] and rank[w] < ru]
-        if not lower_unique:
-            continue
-        checks += len(lower_unique) * len(higher)
-        if checks > max_path_checks:
-            truncated = True
-        else:
-            local_degree.extend((w, u, v) for w in lower_unique for v in higher)
+        # Contrapositive scan: only unique-rank centers of degree >= 3 with a
+        # higher neighbor can violate.
+        if len(nbrs) >= 3 and higher:
+            local_degree.extend((w, u, higher[0]) for w in nbrs
+                                if unique[w] and rank[w] < ru)
 
     # Both lists are empty on a correct run; otherwise list them in the
     # order of g.edge_list(), lower endpoint first within an edge.
     branch_rank.sort(key=_edge_order)
     unique_over_leaf.sort(key=_edge_order)
     return LemmaReport(tuple(local_degree), tuple(upward_neighbor),
-                       tuple(branch_rank), tuple(unique_over_leaf), truncated)
+                       tuple(branch_rank), tuple(unique_over_leaf))
 
 
 def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certificate, LemmaReport]:

@@ -15,7 +15,7 @@ import sys
 
 from . import bench as bench_mod
 from .certificate import CertificateError, certify
-from .generate import FAMILIES, InfeasibleSpecError, InstanceSpec, generate
+from .generate import PARAM_COUNTS, InfeasibleSpecError, InstanceSpec, generate
 from .graph import FORMATS, Graph, GraphFormatError, is_connected, parse, serialize, to_dot
 from .oracle import DEFAULT_BUDGET, OracleDisagreementError, compare, max_leaf_exact
 from .solver import DisconnectedGraphError, StartPolicy, leaf_count, tree
@@ -35,7 +35,7 @@ def parse_gen_spec(text: str, seed: int) -> InstanceSpec:
     name, _, rest = text.partition(":")
     aliases = {"random": "random_connected", "tight": "tight_search"}
     family = aliases.get(name, name)
-    if family not in FAMILIES:
+    if family not in PARAM_COUNTS:
         raise ValueError(f"unknown generator family {name!r}")
     if family == "grid":
         parts = rest.split("x")
@@ -45,8 +45,7 @@ def parse_gen_spec(text: str, seed: int) -> InstanceSpec:
         params = tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad generator parameters in {text!r}") from None
-    expected = {"cycle": 1, "star": 1, "complete": 1, "grid": 2,
-                "random_connected": 2, "tight_search": 2}[family]
+    expected = PARAM_COUNTS[family]
     if len(params) != expected:
         raise ValueError(
             f"{name} takes {expected} parameter(s), got {len(params)} in {text!r}")
@@ -166,14 +165,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_tight_search(args: argparse.Namespace) -> int:
-    result = tight_search(args.n_max, args.trials, args.seed, args.policy)
-    best = result.best
-    text = serialize(best.graph, args.format)
-    sys.stdout.write(text)
-    print(f"alg={best.alg_leaves}")
-    print(f"opt={best.opt_leaves}")
-    print(f"ratio={best.ratio:.4f}")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    # Open --out before the search, so an unwritable path fails at once;
+    # append mode keeps an earlier result if the search itself fails.
+    with open(args.out, "a", encoding="utf-8") as fh:
+        best = tight_search(args.n_max, args.trials, args.seed, args.policy).best
+        text = serialize(best.graph, args.format)
+        sys.stdout.write(text)
+        print(f"alg={best.alg_leaves}")
+        print(f"opt={best.opt_leaves}")
+        print(f"ratio={best.ratio:.4f}")
+        fh.truncate(0)
         fh.write(text)
     return EXIT_OK
 
@@ -184,12 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maximum-leaf spanning trees: greedy solver, certificates, exact oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, source: bool = True,
+    def add_common(p: argparse.ArgumentParser, file: bool = True, gen: bool = True,
                    fmt: bool = True, policy: bool = True) -> None:
         """Add the shared flags; each command turns off those it does not read."""
-        if source:
+        if file:
             p.add_argument("input", nargs="?", default=None,
                            help="input file path, or '-' for stdin")
+        if gen:
             p.add_argument("--gen", default=None, metavar="SPEC",
                            help="generate the input instead: cycle:N, star:N, "
                                 "complete:N, grid:RxC, random:N:M, tight:NMAX:TRIALS")
@@ -226,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="generate an instance and print it")
-    add_common(p, policy=False)
+    add_common(p, file=False, policy=False)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="scaling benchmark along a doubling edge ladder")
-    add_common(p, source=False, fmt=False)
+    add_common(p, file=False, gen=False, fmt=False)
     p.add_argument("--ladder", default="16:21", metavar="LO:HI",
                    help="exponent range, m = 2^LO .. 2^HI (default 16:21)")
     p.add_argument("--runs", type=int, default=bench_mod.DEFAULT_RUNS)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("tight-search", help="search for instances with high opt/alg ratio")
-    add_common(p, source=False)
+    add_common(p, file=False, gen=False)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--out", default="tight-best.edgelist",

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 from .graph import Graph
 
-FAMILIES = ("cycle", "star", "complete", "grid", "random_connected", "tight_search")
+# Each family with the number of integer parameters it takes.
+PARAM_COUNTS = {"cycle": 1, "star": 1, "complete": 1, "grid": 2,
+                "random_connected": 2, "tight_search": 2}
+FAMILIES = tuple(PARAM_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,11 @@ def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
 def generate(spec: InstanceSpec) -> Graph:
     """Build the instance described by spec; deterministic for a fixed spec."""
     family, params = spec.family, spec.params
+    if family not in PARAM_COUNTS:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if len(params) != PARAM_COUNTS[family]:
+        raise ValueError(f"{family} takes {PARAM_COUNTS[family]} parameter(s), "
+                         f"got {len(params)}")
     if family == "cycle":
         return _cycle(*params)
     if family == "star":
@@ -140,9 +148,8 @@ def generate(spec: InstanceSpec) -> Graph:
     if family == "random_connected":
         n, m = params
         return _random_connected(n, m, random.Random(spec.seed))
-    if family == "tight_search":
-        from .tightness import tight_search
+    # The only family left is tight_search.
+    from .tightness import tight_search
 
-        n_max, trials = params
-        return tight_search(n_max, trials, spec.seed).best.graph
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    n_max, trials = params
+    return tight_search(n_max, trials, spec.seed).best.graph

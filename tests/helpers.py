@@ -322,28 +322,24 @@ def forest_leaves(f: RankForest) -> frozenset[int]:
     return frozenset(v for v, d in enumerate(f.f_degree) if d == 1)
 
 
-def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest,
-                           max_path_checks: int = 10_000_000) -> LemmaReport:
-    """Sort-based lemma audit over frozensets and g.edge_list(); check_lemmas must match it."""
+def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
+    """Sort-based lemma audit over frozensets and g.edge_list(); check_lemmas must match it.
+
+    local_degree lists one path per violating (lower unique neighbor, center)
+    pair, closed by the center's first higher neighbor."""
     unique = unique_rank_vertices(f)
     leaves_f = forest_leaves(f)
     adjacency = g.adjacency
     local_degree = []
-    truncated = False
-    checks = 0
     for v in sorted(unique):
         if len(adjacency[v]) < 3:
             continue
         rv = rank[v]
-        lower_unique = [u for u in adjacency[v] if u in unique and rank[u] < rv]
-        if not lower_unique:
-            continue
         higher = [w for w in adjacency[v] if rank[w] > rv]
-        checks += len(lower_unique) * len(higher)
-        if checks > max_path_checks:
-            truncated = True
-            break
-        local_degree.extend((u, v, w) for u in lower_unique for w in higher)
+        if not higher:
+            continue
+        local_degree.extend((u, v, higher[0]) for u in adjacency[v]
+                            if u in unique and rank[u] < rv)
     upward_neighbor = []
     for u in range(g.n):
         higher = [v for v in adjacency[u] if rank[v] > rank[u]]
@@ -361,7 +357,7 @@ def reference_check_lemmas(g: Graph, rank: list[int], f: RankForest,
         if v in unique and u in leaves_f and rank[v] <= rank[u]:
             unique_over_leaf.append((v, u))
     return LemmaReport(tuple(local_degree), tuple(upward_neighbor),
-                       tuple(branch_rank), tuple(unique_over_leaf), truncated)
+                       tuple(branch_rank), tuple(unique_over_leaf))
 
 
 def reference_build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:

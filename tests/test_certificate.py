@@ -264,9 +264,7 @@ def test_lemma_campaign_on_random_graphs():
     assert violations == 0
 
 
-def test_check_lemmas_flags_corrupt_ranks_and_respects_the_cap():
-    from maxleaf import RankForest
-
+def test_check_lemmas_flags_corrupt_ranks():
     g = generate(InstanceSpec("star", (5,)))
     bogus_rank = [3, 1, 2, 4, 5]   # never produced by a real run
     all_singletons = RankForest(
@@ -274,29 +272,25 @@ def test_check_lemmas_flags_corrupt_ranks_and_respects_the_cap():
         f_degree=(0, 0, 0, 0, 0))
     report = check_lemmas(g, bogus_rank, all_singletons)
     assert not report.passed
-    assert len(report.local_degree) == 4       # 2 lower x 2 higher at the hub
-    assert (0, 3, 4) in [tuple(w) for w in report.upward_neighbor]
-    assert not report.truncated
-    capped = check_lemmas(g, bogus_rank, all_singletons, max_path_checks=0)
-    assert capped.truncated
-    assert capped.local_degree == ()
+    # One path per lower neighbor of the hub, closed by its first higher one.
+    assert report.local_degree == ((1, 0, 3), (2, 0, 3))
+    assert report.upward_neighbor == ((0, 3, 4),)
+    assert report.witness_counts() == (2, 1, 0, 0)
 
 
-def test_truncated_lemma_report_does_not_pass():
-    # Star with hub 0: only the hub's length-2 paths 1-0-3 and 2-0-3 violate
-    # anything, so a cap of 0 leaves every list empty but the scan unfinished.
-    from maxleaf import RankForest
-
-    g = generate(InstanceSpec("star", (4,)))
-    rank = [3, 1, 2, 4]
-    singletons = RankForest(components=((0,), (1,), (2,), (3,)), f_degree=(0, 0, 0, 0))
-    full = check_lemmas(g, rank, singletons)
-    assert full.local_degree == ((1, 0, 3), (2, 0, 3))
-    assert full.witness_counts() == (2, 0, 0, 0)
-    capped = check_lemmas(g, rank, singletons, max_path_checks=0)
-    assert capped.truncated
-    assert capped.witness_counts() == (0, 0, 0, 0)
-    assert not capped.passed
+def test_check_lemmas_lists_every_violating_pair_on_a_large_star():
+    # Hub 0 sits between 8191 lower and 8192 higher leaves: 8191 x 8192
+    # violating paths, reported as one witness per lower leaf, linear in n.
+    n = 1 << 14
+    g = generate(InstanceSpec("star", (n,)))
+    half = n // 2
+    rank = [half] + list(range(1, half)) + list(range(half + 1, n + 1))
+    singletons = RankForest(components=tuple((v,) for v in range(n)),
+                            f_degree=(0,) * n)
+    report = check_lemmas(g, rank, singletons)
+    assert not report.passed
+    assert report.local_degree == tuple((w, 0, half) for w in range(1, half))
+    assert report.witness_counts() == (half - 1, 1, 0, 0)
 
 
 def test_check_lemmas_golden_report_order():
@@ -317,9 +311,6 @@ def test_check_lemmas_golden_report_order():
         branch_rank=((0, 5), (3, 4), (3, 5), (9, 4)),
         unique_over_leaf=((8, 1), (7, 2), (6, 4), (8, 10)))
     assert check_lemmas(g, bogus, forest) == expected
-    capped = LemmaReport((), expected.upward_neighbor, expected.branch_rank,
-                         expected.unique_over_leaf, truncated=True)
-    assert check_lemmas(g, bogus, forest, max_path_checks=0) == capped
 
 
 def test_check_lemmas_matches_the_reference_audit():
@@ -337,8 +328,7 @@ def test_check_lemmas_matches_the_reference_audit():
             f_degree=tuple(rng.randint(0, 3) for _ in range(n)))
         for r, f in ((rank, forest), (shuffled, forest), (shuffled, arbitrary),
                      ([rng.randint(1, 4) for _ in range(n)], arbitrary)):
-            for cap in (10_000_000, rng.randint(0, 6)):
-                assert check_lemmas(g, r, f, cap) == reference_check_lemmas(g, r, f, cap)
+            assert check_lemmas(g, r, f) == reference_check_lemmas(g, r, f)
 
 
 def test_certify_pipeline_shortcut():

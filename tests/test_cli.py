@@ -38,6 +38,29 @@ def test_python_dash_m_runs_the_cli(capsys, module):
     assert proc.stdout == expected
 
 
+def test_runtime_imports_only_the_standard_library():
+    import os
+    import subprocess
+    import sys
+
+    import maxleaf
+
+    src = os.path.dirname(os.path.dirname(maxleaf.__file__))
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import maxleaf\n"
+        "for info in pkgutil.iter_modules(maxleaf.__path__):\n"
+        "    importlib.import_module(f'maxleaf.{info.name}')\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(top - set(sys.stdlib_module_names) - {'maxleaf'})))\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
@@ -181,6 +204,7 @@ def test_compare_budget_bounds_the_pruned_search(capsys):
     ["oracle", "--gen", "cycle:5", "--start-policy", "maxdeg"],
     ["gen", "--gen", "cycle:5", "--start-policy", "maxdeg"],
     ["bench", "--ladder", "8:8", "--runs", "1", "--format", "dimacs"],
+    ["gen", "/nonexistent.edgelist", "--gen", "cycle:3"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -244,6 +268,21 @@ def test_bench_single_rung(capsys):
     assert float(median_ms) > 0
 
 
+def test_bench_rejects_zero_runs(capsys, monkeypatch):
+    from maxleaf import bench
+
+    def no_generate(spec):
+        raise AssertionError("bench generated a graph")
+
+    monkeypatch.setattr(bench, "generate", no_generate)
+    with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
+        bench.run_ladder((8, 8), runs=0)
+    code, out, err = run_cli(capsys, "bench", "--ladder", "8:8", "--runs", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: runs must be at least 1, got 0\n"
+
+
 def test_bench_ladder_has_ratios(capsys):
     code, out, _ = run_cli(capsys, "bench", "--ladder", "8:10", "--runs", "2")
     assert code == 0
@@ -262,6 +301,26 @@ def test_tight_search_writes_best_instance(tmp_path, capsys):
     persisted = parse(out_path.read_text())
     header = out.splitlines()[0]
     assert header == f"{persisted.n} {persisted.m}"
+
+
+def test_tight_search_checks_out_before_searching(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("tight_search ran")
+
+    monkeypatch.setattr("maxleaf.cli.tight_search", no_search)
+    code, out, err = run_cli(capsys, "tight-search", "--n-max", "4", "--trials", "3",
+                             "--out", str(tmp_path / "missing" / "x"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_failed_tight_search_keeps_the_previous_out_file(tmp_path, capsys):
+    kept = tmp_path / "best.edgelist"
+    kept.write_text("3 2\n0 1\n1 2\n")
+    code, out, _ = run_cli(capsys, "tight-search", "--trials", "0", "--out", str(kept))
+    assert (code, out) == (1, "")
+    assert kept.read_text() == "3 2\n0 1\n1 2\n"
 
 
 def test_tight_search_rerun_is_identical(tmp_path, capsys):

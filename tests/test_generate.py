@@ -84,6 +84,13 @@ def test_unknown_family():
         generate(InstanceSpec("torus", (3,)))
 
 
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (3, 4)), ("grid", (3,)), ("random_connected", (5,))])
+def test_wrong_parameter_count(family, params):
+    with pytest.raises(ValueError, match=f"^{family} takes .* parameter"):
+        generate(InstanceSpec(family, params))
+
+
 def test_generate_dispatches_tight_search():
     g = generate(InstanceSpec("tight_search", (8, 50), 3))
     assert is_connected(g)
