@@ -2,15 +2,35 @@
 
 Families: cycle, star, complete, grid, random_connected, tight_search.
 Every family is a pure function of its InstanceSpec: same spec, same graph.
-Generated adjacency lists are in ascending id order.
+Generated adjacency lists are in ascending id order. A spec whose vertex
+count exceeds graph.MAX_VERTICES is refused before anything is allocated.
+
+The random samplers keep an edge (u, v), u < v, on n vertices as the int
+key u*n + v. Keys sort in the same order as the pairs, hash and compare
+faster, and divmod(key, n) gives the pair back.
+
+Every random vertex comes from _draws(rng, n), which yields
+rng.getrandbits(n.bit_length()) values and skips those >= n. That is the
+rejection loop random.Random.randrange(n) runs (via _randbelow) on
+CPython 3.10-3.13, so each value and the generator state after it equal
+those of a randrange(n) call, at less than half the cost. Python does not
+promise randrange's sequence across versions, but getrandbits is the raw
+Mersenne Twister output, so these draws depend on nothing else.
+
+uniform_random_tree decodes its Pruefer sequence in O(n) with a pointer
+that scans ids upward for the next leaf; a vertex that becomes a leaf
+below the pointer is taken at once. That always takes the smallest leaf,
+as a heap would, so the edges and their order match the textbook decode.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from typing import Iterator
 
+from . import graph
 from .graph import Graph
 
 # Each family with the number of integer parameters it takes.
@@ -69,45 +89,71 @@ def _grid(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def uniform_random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniformly random labeled tree on n vertices (decoded Pruefer sequence)."""
+def _draws(rng: random.Random, n: int) -> Iterator[int]:
+    """Yield, one per next(), the values successive rng.randrange(n) calls give."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < n:
+            yield r
+
+
+def uniform_random_tree(n: int, rng: random.Random) -> list[int]:
+    """Uniformly random labeled tree on n vertices (decoded Pruefer sequence).
+
+    Returns the n - 1 edges as keys u*n + v, u < v, in decode order.
+    """
     if n <= 1:
         return []
     if n == 2:
-        return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+        return [1]
+    seq = list(islice(_draws(rng, n), n - 2))
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    leaf = ptr = degree.index(1)
+    keys = []
+    append = keys.append
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        append(leaf * n + x if leaf < x else x * n + leaf)
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return edges
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    # The two vertices left are the current leaf and n - 1.
+    append(leaf * n + n - 1)
+    return keys
 
 
-def add_random_edges(edge_set: set[tuple[int, int]], n: int, count: int,
+def add_random_edges(keys: set[int], n: int, count: int,
                      rng: random.Random) -> None:
-    """Add count new (u, v), u < v, edges on n vertices to edge_set.
+    """Add count new edges on n vertices to keys, each as u*n + v with u < v.
 
-    Rejection sampling: each draw is two rng.randrange(n) calls, and
+    Rejection sampling: each draw is two randrange(n) values, and
     self-loops and edges already present are drawn again. The caller keeps
     the target well below n(n-1)/2 so that rejections stay rare.
     """
-    target = len(edge_set) + count
-    while len(edge_set) < target:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            edge_set.add((u, v) if u < v else (v, u))
+    if count <= 0:
+        return
+    target = len(keys) + count
+    add = keys.add
+    draws = _draws(rng, n)
+    for u, v in zip(draws, draws):
+        if u < v:
+            add(u * n + v)
+        elif v < u:
+            add(v * n + u)
+        else:
+            continue
+        if len(keys) == target:
+            return
+
+
+def graph_from_keys(n: int, keys: set[int]) -> Graph:
+    """The graph on n vertices whose edges are keys; adjacency ascends."""
+    return Graph.from_edges(n, map(divmod, sorted(keys), repeat(n)))
 
 
 def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
@@ -117,16 +163,24 @@ def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
     if m < n - 1 or m > max_edges:
         raise InfeasibleSpecError(
             f"random_connected({n}, {m}): need {n - 1} <= m <= {max_edges}")
-    edge_set = set(uniform_random_tree(n, rng))
-    extra = m - len(edge_set)
-    if extra > 0 and extra > (max_edges - len(edge_set)) // 2:
+    keys = set(uniform_random_tree(n, rng))
+    extra = m - len(keys)
+    if extra > 0 and extra > (max_edges - len(keys)) // 2:
         # Dense target: rejection sampling degenerates, sample the complement.
-        complement = [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if (u, v) not in edge_set]
-        edge_set.update(rng.sample(complement, extra))
+        complement = [key for u in range(n) for key in range(u * n + u + 1, u * n + n)
+                      if key not in keys]
+        keys.update(rng.sample(complement, extra))
     else:
-        add_random_edges(edge_set, n, extra, rng)
-    return Graph.from_edges(n, sorted(edge_set))
+        add_random_edges(keys, n, extra, rng)
+    return graph_from_keys(n, keys)
+
+
+def _vertex_count(family: str, params: tuple[int, ...]) -> int:
+    """Vertices the spec asks for; for tight_search, the most it may draw."""
+    if family == "grid":
+        rows, cols = params
+        return rows * cols if rows > 0 else 0   # _grid rejects rows < 1 itself
+    return params[0]
 
 
 def generate(spec: InstanceSpec) -> Graph:
@@ -137,6 +191,10 @@ def generate(spec: InstanceSpec) -> Graph:
     if len(params) != PARAM_COUNTS[family]:
         raise ValueError(f"{family} takes {PARAM_COUNTS[family]} parameter(s), "
                          f"got {len(params)}")
+    vertices = _vertex_count(family, params)
+    if vertices > graph.MAX_VERTICES:
+        raise InfeasibleSpecError(f"{family} asks for {vertices} vertices, "
+                                  f"more than the cap of {graph.MAX_VERTICES}")
     if family == "cycle":
         return _cycle(*params)
     if family == "star":

@@ -31,6 +31,7 @@ concurrent readers.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable
 
 # The most vertices a parsed header may declare. A graph costs about 115
@@ -278,15 +279,15 @@ def parse(text: str, fmt: str = "edgelist") -> Graph:
 def serialize(g: Graph, fmt: str = "edgelist") -> str:
     """Serialize with edges sorted; parse(serialize(g)) reproduces the edge set."""
     edges = g.edge_list()
+    ids = chain.from_iterable(edges)
     if fmt == "edgelist":
-        lines = [f"{g.n} {g.m}"]
-        lines.extend(f"{u} {v}" for u, v in edges)
+        header, line = f"{g.n} {g.m}\n", "%d %d\n"
     elif fmt == "dimacs":
-        lines = [f"p edge {g.n} {g.m}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
+        header, line = f"p edge {g.n} {g.m}\n", "e %d %d\n"
+        ids = [x + 1 for x in ids]
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    return "\n".join(lines) + "\n"
+    return header + (line * len(edges)) % tuple(ids)
 
 
 def to_dot(g: Graph, tree_edges: Iterable[tuple[int, int]] | None = None) -> str:

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .certificate import CertificateError, certify
-from .generate import add_random_edges, uniform_random_tree
+from .generate import add_random_edges, graph_from_keys, uniform_random_tree
 from .graph import Graph
 from .oracle import OracleDisagreementError, max_leaf_cds, max_leaf_exact
 from .solver import StartPolicy, leaf_count, tree
@@ -70,11 +70,11 @@ class TightSearchResult:
 
 def _random_instance(rng: random.Random, n_max: int) -> Graph:
     n = rng.randint(4, max(4, n_max))
-    edge_set = set(uniform_random_tree(n, rng))
+    keys = set(uniform_random_tree(n, rng))
     cap = min(MAX_EXTRA_EDGES, n * (n - 1) // 2 - (n - 1))
     extra = rng.randint(0, cap) if cap > 0 else 0
-    add_random_edges(edge_set, n, extra, rng)
-    return Graph.from_edges(n, sorted(edge_set))
+    add_random_edges(keys, n, extra, rng)
+    return graph_from_keys(n, keys)
 
 
 def tight_search(n_max: int, trials: int, seed: int,

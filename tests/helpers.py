@@ -1,9 +1,11 @@
 """Shared test helpers: the reference solver and enumerator, an independent
-step-semantics replayer, the instance sets of the acceptance campaigns and
-hypothesis strategies for random connected graphs."""
+step-semantics replayer, the heap-based Pruefer decoder, the instance sets of
+the acceptance campaigns and hypothesis strategies for random connected
+graphs."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 
@@ -277,6 +279,32 @@ def replay_trace(g: Graph, trace: ExpansionTrace) -> None:
         if n >= 3:
             assert i + 1 < len(trace.steps), "W0 step ended the run"
             assert trace.steps[i + 1].center == step.added[0]
+
+
+def reference_uniform_random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The textbook heap decode of a randrange(n) Pruefer sequence, as (u, v)
+    pairs with u < v; the linear decode in maxleaf.generate must match it."""
+    if n <= 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x) if leaf < x else (x, leaf))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v) if u < v else (v, u))
+    return edges
 
 
 def atlas_connected_graphs() -> list[Graph]:

@@ -113,6 +113,16 @@ def test_header_above_the_vertex_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "parse error: line 1: vertex count must be <= 3, got 4\n"
 
 
+@pytest.mark.parametrize("spec", ["cycle:101", "star:101", "complete:101", "grid:101x1",
+                                  "random:101:100"])
+def test_gen_above_the_vertex_cap_exits_1(capsys, monkeypatch, spec):
+    monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 100)
+    code, out, err = run_cli(capsys, "gen", "--gen", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(
+        " asks for 101 vertices, more than the cap of 100\n")
+
+
 def test_certify_cycle5(capsys):
     code, out, err = run_cli(capsys, "certify", "--gen", "cycle:5")
     assert code == 0

@@ -1,8 +1,12 @@
 import hashlib
+import random
+from itertools import islice
 
 import pytest
 
-from maxleaf import InfeasibleSpecError, InstanceSpec, generate, is_connected, serialize
+from helpers import reference_uniform_random_tree
+from maxleaf import InfeasibleSpecError, InstanceSpec, generate, graph, is_connected, serialize
+from maxleaf.generate import _draws, add_random_edges, uniform_random_tree
 
 
 def test_cycle_shape():
@@ -114,6 +118,14 @@ GOLDEN_SERIALIZED_SHA256 = {
         "03ca6e526580928d3fafeb7d0c6a1b5ef0dbe525722554193b3caea6d079405f",
     ("random_connected", (10, 45), 2):                            # complete
         "1df85460ce06d8c58223cfd1f4578b56f4ca71b66182291bfa1732f3659ee352",
+    # Recorded with the tuple-keyed, randrange-based sampler, before edges
+    # became int keys drawn through getrandbits.
+    ("random_connected", (16384, 65536), 1):                      # solve_inmem, sparse
+        "32f9c707d1616508db71d3b211034d4b798b010cb129ef68475fbcc4e5780b8e",
+    ("random_connected", (32768, 36864), 2):                      # solve_inmem, tree-like
+        "556bfc303e8b5f30638fcc56bff382771108289384fce9d08c33f97e33c09a9f",
+    ("random_connected", (300, 30000), 4):                        # dense fallback
+        "d1b9e7ea42d8778cc2fa3e506718b26073695795815382bd7d7093553f267777",
 }
 
 
@@ -122,3 +134,46 @@ def test_generated_graphs_are_pinned(family, params, seed):
     text = serialize(generate(InstanceSpec(family, params, seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         GOLDEN_SERIALIZED_SHA256[family, params, seed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 255, 256, 257, 1 << 16, (1 << 19) + 1])
+def test_draws_equal_randrange(n):
+    ours, theirs = random.Random(n), random.Random(n)
+    assert list(islice(_draws(ours, n), 200)) == [theirs.randrange(n) for _ in range(200)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_linear_pruefer_decode_matches_the_heap_decode():
+    for n in range(1, 81):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            keys = uniform_random_tree(n, ours)
+            assert keys == [u * n + v for u, v in reference_uniform_random_tree(n, theirs)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_add_random_edges_rejects_loops_and_repeats():
+    n, rng = 6, random.Random(3)
+    keys = set(uniform_random_tree(n, rng))
+    add_random_edges(keys, n, 10, rng)          # 15 of the 15 possible edges
+    assert keys == {u * n + v for u in range(n) for v in range(u + 1, n)}
+    state = rng.getstate()
+    add_random_edges(keys, n, 0, rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (101,)), ("star", (101,)), ("complete", (101,)), ("grid", (1, 101)),
+    ("grid", (101, 1)), ("random_connected", (101, 100)), ("tight_search", (101, 1))])
+def test_vertex_cap_is_checked_before_generation(monkeypatch, family, params):
+    monkeypatch.setattr(graph, "MAX_VERTICES", 100)
+    with pytest.raises(InfeasibleSpecError, match="101 vertices, more than the cap of 100"):
+        generate(InstanceSpec(family, params))
+
+
+def test_specs_at_the_vertex_cap_are_generated(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_VERTICES", 100)
+    assert generate(InstanceSpec("grid", (10, 10))).n == 100
+    assert generate(InstanceSpec("cycle", (100,))).n == 100
+    with pytest.raises(InfeasibleSpecError, match="positive dimensions"):
+        generate(InstanceSpec("grid", (-101, -101)))
