@@ -16,6 +16,8 @@ import sys
 from . import bench as bench_mod
 from .certificate import CertificateError, certify
 from .generate import PARAM_COUNTS, InfeasibleSpecError, InstanceSpec, generate
+# cmd_certify calls is_connected only on its error path; perfbench's worker
+# also wraps cli.is_connected by name, so the name must stay importable here.
 from .graph import FORMATS, Graph, GraphFormatError, is_connected, parse, serialize, to_dot
 from .oracle import DEFAULT_BUDGET, OracleDisagreementError, compare, max_leaf_exact
 from .solver import DisconnectedGraphError, StartPolicy, leaf_count, tree
@@ -100,10 +102,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if g.n < 3:
         print(f"certificates need at least 3 vertices, got n={g.n}", file=sys.stderr)
         return EXIT_USAGE
-    if not is_connected(g):
+    try:
+        t, trace = tree(g, args.policy)
+    except ValueError as exc:
+        # tree() raises DisconnectedGraphError on every disconnected graph,
+        # but checks an explicit start vertex first; a disconnected graph
+        # reports as such either way.
+        if not isinstance(exc, DisconnectedGraphError) and is_connected(g):
+            raise
         print("input graph is disconnected", file=sys.stderr)
         return EXIT_DISCONNECTED
-    t, trace = tree(g, args.policy)
     cert, report = certify(g, t, trace)
     print(f"n={g.n}")
     print(f"m={g.m}")

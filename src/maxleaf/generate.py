@@ -3,7 +3,8 @@
 Families: cycle, star, complete, grid, random_connected, tight_search.
 Every family is a pure function of its InstanceSpec: same spec, same graph.
 Generated adjacency lists are in ascending id order. A spec whose vertex
-count exceeds graph.MAX_VERTICES is refused before anything is allocated.
+count exceeds graph.MAX_VERTICES, or whose edge count exceeds MAX_EDGES,
+is refused before anything is allocated.
 
 The random samplers keep an edge (u, v), u < v, on n vertices as the int
 key u*n + v. Keys sort in the same order as the pairs, hash and compare
@@ -37,6 +38,11 @@ from .graph import Graph
 PARAM_COUNTS = {"cycle": 1, "star": 1, "complete": 1, "grid": 2,
                 "random_connected": 2, "tight_search": 2}
 FAMILIES = tuple(PARAM_COUNTS)
+
+# The most edges a spec may ask for. An edge costs about 130 bytes while the
+# graph is built; the cap, 8x the m = 2^21 top of the benchmark ladder,
+# bounds that at about 2 GB.
+MAX_EDGES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,20 @@ def _vertex_count(family: str, params: tuple[int, ...]) -> int:
     return params[0]
 
 
+def _edge_count(family: str, params: tuple[int, ...]) -> int:
+    """Edges the spec asks for; 0 where the family rejects the parameters
+    itself, and for cycle, star and tight_search, which the vertex cap bounds."""
+    if family == "complete":
+        k = params[0]
+        return k * (k - 1) // 2 if k > 0 else 0
+    if family == "grid":
+        rows, cols = params
+        return rows * (cols - 1) + cols * (rows - 1) if rows > 0 and cols > 0 else 0
+    if family == "random_connected":
+        return params[1]
+    return 0
+
+
 def generate(spec: InstanceSpec) -> Graph:
     """Build the instance described by spec; deterministic for a fixed spec."""
     family, params = spec.family, spec.params
@@ -195,6 +215,10 @@ def generate(spec: InstanceSpec) -> Graph:
     if vertices > graph.MAX_VERTICES:
         raise InfeasibleSpecError(f"{family} asks for {vertices} vertices, "
                                   f"more than the cap of {graph.MAX_VERTICES}")
+    edges = _edge_count(family, params)
+    if edges > MAX_EDGES:
+        raise InfeasibleSpecError(f"{family} asks for {edges} edges, "
+                                  f"more than the cap of {MAX_EDGES}")
     if family == "cycle":
         return _cycle(*params)
     if family == "star":

@@ -16,10 +16,14 @@ raised before anything is allocated.
 
 Edgelist text in the canonical form that serialize() writes is read in
 bulk: ASCII only, no '#', no blank lines, every line two tokens joined by
-exactly one space, '\n' as the only other separator, and at most
-min(2m + 1, MAX_VERTICES) declared vertices. That path does one split(),
-one map(int), range checks with min/max, and one duplicate and self-loop
-check on the built adjacency rows. Any other text, canonical text that
+exactly one space, '\n' as the only other separator, at most
+min(2m + 1, MAX_VERTICES) declared vertices, and every vertex id spelled
+in plain decimal, as "%d" writes it. That path does one bytes split(),
+looks each id token up in a table from the "%d" spelling of every id in
+range to one shared int (one lookup converts, range-checks and interns
+it), frees the tokens and the table before it builds the adjacency rows,
+and checks the rows once for duplicates and self-loops. Any other text
+(ids such as "+1", "007", "-0" or "0_1" included), canonical text that
 fails a check, and all DIMACS text go to the line parser, which accepts
 exactly the same graphs. Errors, with their messages and line numbers,
 therefore always come from the line parser.
@@ -31,7 +35,7 @@ concurrent readers.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 # The most vertices a parsed header may declare. A graph costs about 115
@@ -168,31 +172,47 @@ def _parse_edgelist_bulk(text: str) -> Graph | None:
     # Canonical text, with its final "\n" put back if missing, is "u v\n"
     # lines: its separators alternate " " and "\n", and each of the pieces
     # before them, one per separator, is a non-empty token.
-    seps = text.encode("ascii").translate(None, _TOKEN_BYTES)
+    raw = text.encode("ascii")
+    seps = raw.translate(None, _TOKEN_BYTES)
     if not text.endswith("\n"):
         seps += b"\n"
     lines = len(seps) // 2
     if lines == 0 or seps != b" \n" * lines:
         return None
+    # With only " " and "\n" between tokens, bytes.split() cuts where
+    # str.split() would.
+    tokens = raw.split()
+    if len(tokens) != len(seps):
+        return None
     try:
-        values = list(map(int, text.split()))
+        n, m = int(tokens[0]), int(tokens[1])
     except ValueError:
         return None
-    if len(values) != len(seps):
-        return None
-    n, m = values[0], values[1]
-    ids = values[2:]
-    # n <= 2m + 1 keeps what is built before the checks below in proportion
+    # n <= 2m + 1 keeps the id table and what is built below in proportion
     # to the text; a connected graph always qualifies.
-    if not 1 <= n <= len(ids) + 1 or n > MAX_VERTICES or m != lines - 1:
+    if not 1 <= n <= len(tokens) - 1 or n > MAX_VERTICES or m != lines - 1:
         return None
-    if ids and (min(ids) < 0 or max(ids) >= n):
+    # The table maps the plain-decimal spelling of each id in range to one
+    # shared int, so a single lookup converts a token, checks its range and
+    # interns the id. Any other token (out of range, signed, zero-padded,
+    # underscored or no integer) misses and leaves the text to the line
+    # parser.
+    table = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
+    try:
+        ids = list(map(table.__getitem__, islice(tokens, 2, None)))
+    except KeyError:
         return None
-    g = Graph.from_edges(n, zip(ids[0::2], ids[1::2]))
+    # Freed before the rows grow, so the peak holds only one of the two.
+    del tokens, table
+    rows: list[list[int]] = [[] for _ in range(n)]
+    it = iter(ids)
+    for u, v in zip(it, it):
+        rows[u].append(v)
+        rows[v].append(u)
     # A duplicate edge, or a self-loop (u twice in row u), shrinks a row's set.
-    if sum(map(len, map(set, g.adjacency))) != 2 * m:
+    if sum(map(len, map(set, rows))) != 2 * m:
         return None
-    return g
+    return Graph(n, rows)
 
 
 # fmt -> (comment prefix, id base, and how error messages name the header,

@@ -30,7 +30,11 @@ CORPUS = {
     "isolated_vertex_within_2m_plus_1": ("3 1\n1 0\n", True),
     "isolated_vertices_beyond_2m_plus_1": ("6 2\n0 1\n3 2\n", False),
     "isolated_vertices_no_edges": ("4 0\n", False),
-    "signed_and_underscored_ints": ("3 2\n+0 1\n0_1 2\n", True),
+    "signed_and_underscored_ints": ("3 2\n+0 1\n0_1 2\n", False),
+    "leading_zero_ids": ("8 4\n00 1\n007 1\n1 2\n2 3\n", False),
+    "minus_zero_id": ("3 2\n-0 1\n1 2\n", False),
+    "plus_one_id": ("3 2\n0 +1\n1 2\n", False),
+    "leading_zero_header": ("03 02\n0 1\n1 2\n", True),
     "self_loop": ("3 2\n0 1\n2 2\n", False),
     "duplicate_same_orientation": ("3 3\n0 1\n1 2\n0 1\n", False),
     "duplicate_reversed": ("3 3\n0 1\n1 2\n1 0\n", False),

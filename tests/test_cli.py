@@ -96,6 +96,40 @@ def test_solve_disconnected_exit_3(tmp_path, capsys):
     assert "disconnected" in err
 
 
+# Every degree <= 1, so no start vertex exists; and a triangle plus an edge,
+# where a run starts but reaches only part of the graph.
+@pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "5 4\n0 1\n1 2\n0 2\n3 4\n"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_certify_disconnected_exit_3(tmp_path, capsys, monkeypatch, text, source):
+    import io
+    if source == "file":
+        path = tmp_path / "parts.edgelist"
+        path.write_text(text)
+        arg = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        arg = "-"
+    assert run_cli(capsys, "certify", arg) == (3, "", "input graph is disconnected\n")
+
+
+# An explicit start vertex of degree < 2, or out of range, is a usage error
+# on a connected graph but reports disconnection on a disconnected one.
+@pytest.mark.parametrize("policy", ["maxdeg", "vertex:0", "vertex:3", "vertex:9"])
+def test_certify_disconnected_exit_3_under_every_start_policy(tmp_path, capsys, policy):
+    path = tmp_path / "parts.edgelist"
+    path.write_text("5 4\n0 1\n1 2\n0 2\n3 4\n")
+    assert run_cli(capsys, "certify", str(path), "--start-policy", policy) == (
+        3, "", "input graph is disconnected\n")
+
+
+@pytest.mark.parametrize("policy, err", [
+    ("vertex:1", "error: start vertex 1 has degree 1 < 2\n"),
+    ("vertex:9", "error: start vertex 9 out of range [0, 5)\n")])
+def test_certify_bad_start_vertex_on_a_connected_graph_exits_1(capsys, policy, err):
+    assert run_cli(capsys, "certify", "--gen", "star:5", "--start-policy", policy) == (
+        1, "", err)
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.edgelist"
     path.write_text("2 1\n0 0\n")
@@ -121,6 +155,13 @@ def test_gen_above_the_vertex_cap_exits_1(capsys, monkeypatch, spec):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(
         " asks for 101 vertices, more than the cap of 100\n")
+
+
+def test_gen_above_the_edge_cap_exits_1(capsys, monkeypatch):
+    import importlib
+    monkeypatch.setattr(importlib.import_module("maxleaf.generate"), "MAX_EDGES", 100)
+    assert run_cli(capsys, "gen", "--gen", "grid:6x10") == (
+        1, "", "error: grid asks for 104 edges, more than the cap of 100\n")
 
 
 def test_certify_cycle5(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 from itertools import islice
 
@@ -7,6 +8,9 @@ import pytest
 from helpers import reference_uniform_random_tree
 from maxleaf import InfeasibleSpecError, InstanceSpec, generate, graph, is_connected, serialize
 from maxleaf.generate import _draws, add_random_edges, uniform_random_tree
+
+# The submodule, which the package's generate() function shadows.
+generate_mod = importlib.import_module("maxleaf.generate")
 
 
 def test_cycle_shape():
@@ -175,5 +179,29 @@ def test_specs_at_the_vertex_cap_are_generated(monkeypatch):
     monkeypatch.setattr(graph, "MAX_VERTICES", 100)
     assert generate(InstanceSpec("grid", (10, 10))).n == 100
     assert generate(InstanceSpec("cycle", (100,))).n == 100
+    with pytest.raises(InfeasibleSpecError, match="positive dimensions"):
+        generate(InstanceSpec("grid", (-101, -101)))
+
+
+@pytest.mark.parametrize("family, params, edges", [
+    ("complete", (15,), 105), ("grid", (6, 10), 104), ("grid", (10, 6), 104),
+    ("random_connected", (101, 101), 101)])
+def test_edge_cap_is_checked_before_generation(monkeypatch, family, params, edges):
+    monkeypatch.setattr(generate_mod, "MAX_EDGES", 100)
+    monkeypatch.setattr(generate_mod, "Graph", None)   # nothing may be built
+    with pytest.raises(InfeasibleSpecError,
+                       match=f"^{family} asks for {edges} edges, more than the cap of 100$"):
+        generate(InstanceSpec(family, params))
+
+
+def test_specs_at_the_edge_cap_are_generated(monkeypatch):
+    monkeypatch.setattr(generate_mod, "MAX_EDGES", 100)
+    assert generate(InstanceSpec("complete", (14,))).m == 91
+    assert generate(InstanceSpec("grid", (2, 34))).m == 100
+    assert generate(InstanceSpec("grid", (1, 101))).m == 100
+    assert generate(InstanceSpec("random_connected", (101, 100), 1)).m == 100
+    assert generate(InstanceSpec("cycle", (101,))).m == 101
+    with pytest.raises(InfeasibleSpecError, match="complete needs >= 1 vertex"):
+        generate(InstanceSpec("complete", (-101,)))
     with pytest.raises(InfeasibleSpecError, match="positive dimensions"):
         generate(InstanceSpec("grid", (-101, -101)))

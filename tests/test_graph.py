@@ -104,6 +104,16 @@ def test_vertex_cap_is_a_parse_error_on_the_header_line(monkeypatch, fmt, text):
     assert exc.value.line == 2
 
 
+def test_bulk_parse_shares_one_int_per_vertex_id():
+    # Ids above 256 escape CPython's small-int cache; 300 isolated vertices
+    # stay within the 2m + 1 the gate allows.
+    inner = generate(InstanceSpec("random_connected", (700, 1400), 2))
+    g = _parse_edgelist_bulk(serialize(Graph.from_edges(
+        1000, [(u + 300, v + 300) for u, v in inner.edge_list()])))
+    assert g is not None and g.m == 1400
+    assert len({id(v) for row in g.adjacency for v in row}) == 700
+
+
 def test_vertex_cap_closes_the_bulk_gate(monkeypatch):
     monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 4)
     check_parity("4 2\n0 1\n2 3\n", True)
