@@ -1,5 +1,11 @@
 """Maximum-leaf spanning trees: linear-time greedy solver with a per-run
-quality certificate, plus two exact oracles for desk-scale graphs."""
+quality certificate, plus two exact oracles for desk-scale graphs.
+
+The package attribute ``generate`` is the function, and it shadows the
+submodule of the same name: ``import maxleaf.generate as gen`` binds the
+function. Reach the module with ``from maxleaf.generate import ...`` or
+``importlib.import_module("maxleaf.generate")``.
+"""
 
 from .certificate import (Certificate, CertificateError, LemmaReport, RankForest,
                           assign_ranks, build_forest, certify, check_lemmas,

@@ -229,9 +229,10 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
     A violating center v of check 1 is listed once per lower unique
     neighbor u, as (u, v, w) with w its first higher neighbor; check 2
     already reports every vertex with two or more higher neighbors. g must
-    be a simple graph with symmetric adjacency (Graph.validate). One pass
-    over the vertices in id order does all four checks, and the report
-    they produce, in O(n + m).
+    be simple with symmetric adjacency: no self-loops, no repeated
+    neighbors, and v in row u exactly when u in row v. One pass over the
+    vertices in id order does all four checks, and the report they
+    produce, in O(n + m).
     """
     n = g.n
     adjacency = g.adjacency

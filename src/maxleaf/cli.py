@@ -15,7 +15,7 @@ import sys
 
 from . import bench as bench_mod
 from .certificate import CertificateError, certify
-from .generate import PARAM_COUNTS, InfeasibleSpecError, InstanceSpec, generate
+from .generate import PARAM_COUNTS, InstanceSpec, generate
 # cmd_certify calls is_connected only on its error path; perfbench's worker
 # also wraps cli.is_connected by name, so the name must stay importable here.
 from .graph import FORMATS, Graph, GraphFormatError, is_connected, parse, serialize, to_dot
@@ -71,12 +71,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _trace_lines(trace) -> list[str]:
     lines = []
-    begin = 0
-    for i, (center, label, end) in enumerate(
-            zip(trace.centers, trace.labels, trace.ends), start=1):
-        added = ",".join(map(str, trace.added[begin:end]))
-        lines.append(f"step={i} case={label} center={center} added={added}")
-        begin = end
+    for i, step in enumerate(trace.steps, start=1):
+        added = ",".join(map(str, step.added))
+        lines.append(f"step={i} case={step.case_label} center={step.center} added={added}")
     return lines
 
 
@@ -274,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleDisagreementError as exc:
         print(f"oracle disagreement: {exc}", file=sys.stderr)
         return EXIT_ORACLE_DISAGREEMENT
-    except (InfeasibleSpecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

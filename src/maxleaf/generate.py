@@ -83,6 +83,7 @@ def _complete(k: int) -> Graph:
 def _grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise InfeasibleSpecError(f"grid needs positive dimensions, got {rows}x{cols}")
+    # Row by row, each vertex's right then lower edge: already sorted.
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -91,7 +92,6 @@ def _grid(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    edges.sort()
     return Graph.from_edges(rows * cols, edges)
 
 

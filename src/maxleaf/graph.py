@@ -1,4 +1,4 @@
-"""Simple undirected graph: representation, validation, parsing and serialization.
+"""Simple undirected graph: representation, parsing and serialization.
 
 Vertices are dense 0-based integers. Two text formats are supported:
 
@@ -94,36 +94,6 @@ class Graph:
                     edges.append((u, v))
         edges.sort()
         return edges
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(u, v) if u < v else (v, u)
-                for u, nbrs in enumerate(self.adjacency) for v in nbrs}
-
-    def validate(self) -> None:
-        """Check symmetry, simplicity and edge-count consistency by direct scan."""
-        n = self.n
-        if len(self.adjacency) != n:
-            raise ValueError("adjacency length differs from vertex count")
-        half_edges = 0
-        neighbor_sets = []
-        for u, nbrs in enumerate(self.adjacency):
-            seen = set()
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {u} has out-of-range neighbor {v}")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if v in seen:
-                    raise ValueError(f"duplicate neighbor {v} in adjacency of {u}")
-                seen.add(v)
-            neighbor_sets.append(seen)
-            half_edges += len(nbrs)
-        for u in range(n):
-            for v in neighbor_sets[u]:
-                if u not in neighbor_sets[v]:
-                    raise ValueError(f"asymmetric edge {u}-{v}")
-        if half_edges != 2 * self.m:
-            raise ValueError("edge count inconsistent with adjacency")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

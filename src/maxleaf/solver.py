@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse
-from typing import Iterable
 
 from .graph import Graph
 
@@ -101,19 +100,6 @@ class ExpansionTrace:
     added: tuple[int, ...] = ()
     touches: int = 0
 
-    @classmethod
-    def from_steps(cls, start: int, steps: Iterable[ExpansionStep],
-                   touches: int = 0) -> "ExpansionTrace":
-        """Flatten hand-built steps into a trace."""
-        centers, labels, ends, added = [], [], [], []
-        for step in steps:
-            centers.append(step.center)
-            labels.append(step.case_label)
-            added += step.added
-            ends.append(len(added))
-        return cls(start, tuple(centers), tuple(labels), tuple(ends), tuple(added),
-                   touches)
-
     @cached_property
     def steps(self) -> tuple[ExpansionStep, ...]:
         added = self.added
@@ -171,23 +157,17 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
     if n <= 2:
         return 0
     if policy.kind == "first":
-        for v in range(n):
+        for v in range(n):      # ends on vertex n - 1 when no degree reaches 2
             if g.degree(v) >= 2:
-                return v
+                break
+    elif policy.kind == "maxdeg":
+        v = max(range(n), key=g.degree)     # the first, so the lowest id, of a tie
+    else:
+        raise ValueError(f"unknown start policy kind {policy.kind!r}")
+    if g.degree(v) < 2:
         raise DisconnectedGraphError(
             "no vertex of degree >= 2: graph is disconnected")
-    if policy.kind == "maxdeg":
-        best = 0
-        best_deg = g.degree(0)
-        for v in range(1, n):
-            d = g.degree(v)
-            if d > best_deg:
-                best, best_deg = v, d
-        if best_deg < 2:
-            raise DisconnectedGraphError(
-                "no vertex of degree >= 2: graph is disconnected")
-        return best
-    raise ValueError(f"unknown start policy kind {policy.kind!r}")
+    return v
 
 
 def _leaf_set(n: int, start: int, centers: list[int], ends: list[int],
@@ -318,7 +298,6 @@ def verify_spanning_tree(g: Graph, t: SpanningTree) -> TreeCheck:
         return TreeCheck(False, "root-out-of-range")
     if t.parent[t.root] is not None:
         return TreeCheck(False, "root-has-parent")
-    edge_count = 0
     for v, p in enumerate(t.parent):
         if v == t.root:
             continue
@@ -328,9 +307,6 @@ def verify_spanning_tree(g: Graph, t: SpanningTree) -> TreeCheck:
             return TreeCheck(False, "parent-out-of-range")
         if p not in g.adjacency[v]:
             return TreeCheck(False, "parent-edge-not-in-graph")
-        edge_count += 1
-    if edge_count != n - 1:
-        return TreeCheck(False, "edge-count")
     # Root-reachability along parent links implies acyclic and spanning.
     state = bytearray(n)  # 0 unknown, 1 on current path, 2 done
     state[t.root] = 2

@@ -1,4 +1,5 @@
-"""Shared test helpers: the reference solver and enumerator, an independent
+"""Shared test helpers: a direct graph validator, a trace builder from
+hand-made steps, the reference solver and enumerator, an independent
 step-semantics replayer, the heap-based Pruefer decoder, the instance sets of
 the acceptance campaigns and hypothesis strategies for random connected
 graphs."""
@@ -8,6 +9,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -17,6 +19,46 @@ from maxleaf import (CertificateError, DisconnectedGraphError, ExpansionStep,
 from maxleaf.graph import is_connected
 from maxleaf.oracle import DEFAULT_BUDGET, OracleResult, _tree_from_edges
 from maxleaf.solver import W0, W1, W2
+
+
+def validate_graph(g: Graph) -> None:
+    """Check symmetry, simplicity and edge-count consistency by direct scan."""
+    n = g.n
+    if len(g.adjacency) != n:
+        raise ValueError("adjacency length differs from vertex count")
+    half_edges = 0
+    neighbor_sets = []
+    for u, nbrs in enumerate(g.adjacency):
+        seen = set()
+        for v in nbrs:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {u} has out-of-range neighbor {v}")
+            if v == u:
+                raise ValueError(f"self-loop at vertex {u}")
+            if v in seen:
+                raise ValueError(f"duplicate neighbor {v} in adjacency of {u}")
+            seen.add(v)
+        neighbor_sets.append(seen)
+        half_edges += len(nbrs)
+    for u in range(n):
+        for v in neighbor_sets[u]:
+            if u not in neighbor_sets[v]:
+                raise ValueError(f"asymmetric edge {u}-{v}")
+    if half_edges != 2 * g.m:
+        raise ValueError("edge count inconsistent with adjacency")
+
+
+def trace_from_steps(start: int, steps: Iterable[ExpansionStep],
+                     touches: int = 0) -> ExpansionTrace:
+    """Flatten hand-built steps into a trace."""
+    centers, labels, ends, added = [], [], [], []
+    for step in steps:
+        centers.append(step.center)
+        labels.append(step.case_label)
+        added += step.added
+        ends.append(len(added))
+    return ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
+                          tuple(added), touches)
 
 
 def _finish_tree(n: int, root: int, parent: list[int | None]) -> SpanningTree:
@@ -39,7 +81,7 @@ def reference_tree(g: Graph, policy: StartPolicy | None = None
     n = g.n
     start = pick_start(g, policy)
     if n == 1:
-        return _finish_tree(1, start, [None]), ExpansionTrace.from_steps(start, ())
+        return _finish_tree(1, start, [None]), trace_from_steps(start, ())
 
     adjacency = g.adjacency
     in_tree = bytearray(n)
@@ -121,7 +163,7 @@ def reference_tree(g: Graph, policy: StartPolicy | None = None
             raise DisconnectedGraphError(
                 f"graph is disconnected: reached {spanned} of {n} vertices")
 
-    return _finish_tree(n, start, parent), ExpansionTrace.from_steps(start, steps, touches)
+    return _finish_tree(n, start, parent), trace_from_steps(start, steps, touches)
 
 
 class _Budget(Exception):

@@ -11,7 +11,7 @@ from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
                      compute_certificate, generate, parse, tree)
 
 from helpers import (connected_graphs, reference_build_forest, reference_check_lemmas,
-                     shuffled_edgelist, unique_rank_vertices)
+                     shuffled_edgelist, trace_from_steps, unique_rank_vertices)
 
 
 def run_pipeline(g):
@@ -127,14 +127,14 @@ def test_cycle5_upward_neighbors_are_unique():
 def test_assign_ranks_rejects_inconsistent_traces():
     g = generate(InstanceSpec("cycle", (5,)))
     _, trace = tree(g)
-    stranger = ExpansionTrace.from_steps(trace.start, trace.steps + (
+    stranger = trace_from_steps(trace.start, trace.steps + (
         ExpansionStep(0, "W1", (2,)),), trace.touches)
     with pytest.raises(ValueError):
         assign_ranks(g, stranger)
-    not_a_neighbor = ExpansionTrace.from_steps(0, (ExpansionStep(0, "W2", (2, 3)),))
+    not_a_neighbor = trace_from_steps(0, (ExpansionStep(0, "W2", (2, 3)),))
     with pytest.raises(ValueError, match="non-neighbor"):
         assign_ranks(g, not_a_neighbor)
-    partial = ExpansionTrace.from_steps(0, trace.steps[:1], 0)
+    partial = trace_from_steps(0, trace.steps[:1], 0)
     with pytest.raises(ValueError, match="span"):
         assign_ranks(g, partial)
 

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import reference_uniform_random_tree
+from helpers import reference_uniform_random_tree, validate_graph
 from maxleaf import InfeasibleSpecError, InstanceSpec, generate, graph, is_connected, serialize
 from maxleaf.generate import _draws, add_random_edges, uniform_random_tree
 
@@ -52,7 +52,7 @@ def test_generated_adjacency_is_ascending():
                  InstanceSpec("cycle", (7,))):
         g = generate(spec)
         assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency)
-        g.validate()
+        validate_graph(g)
 
 
 def test_infeasible_parameters():
@@ -75,7 +75,7 @@ def test_random_connected_is_connected_for_1000_seeds():
 def test_random_connected_dense_fallback():
     g = generate(InstanceSpec("random_connected", (8, 27), 5))  # 27 of 28 edges
     assert g.m == 27
-    g.validate()
+    validate_graph(g)
     assert is_connected(g)
 
 
@@ -205,3 +205,37 @@ def test_specs_at_the_edge_cap_are_generated(monkeypatch):
         generate(InstanceSpec("complete", (-101,)))
     with pytest.raises(InfeasibleSpecError, match="positive dimensions"):
         generate(InstanceSpec("grid", (-101, -101)))
+
+
+# sha256 of repr(g.adjacency). serialize() sorts the edges, so the goldens
+# above cannot see the order of a row; that order breaks every tie in the
+# solver. Recorded before _grid stopped sorting an edge list it builds sorted.
+GOLDEN_ADJACENCY_SHA256 = {
+    ("cycle", (7,)): "d5db521091c45b951a5ec522cf49293abe3c4ed8ee5fd6aeab573c3d6e9e6b9c",
+    ("star", (6,)): "da71715cbfc68d80f6b08b33fe4862ac8dfd5d2ea8e78bd451954da85535ea86",
+    ("complete", (6,)): "24d8331d7df2e451149b3d397bf45ebb97e238ca0c1051d7f4be98ad5a11de69",
+    ("grid", (1, 9)): "bf2df519349a686b922d4a07514ed971dffc27bb91e493089dcf0bd9378b95a1",
+    ("grid", (9, 1)): "bf2df519349a686b922d4a07514ed971dffc27bb91e493089dcf0bd9378b95a1",
+    ("grid", (4, 5)): "1a9c9617ca6363950ffa452651316b648056e03713cd123a067bbd5b94c0285e",
+    ("grid", (5, 4)): "74088812408505fd8439d223aad650e59a60fc04d7c834b34123b537addd974e",
+}
+
+
+@pytest.mark.parametrize("family, params", sorted(GOLDEN_ADJACENCY_SHA256))
+def test_generated_adjacency_order_is_pinned(family, params):
+    g = generate(InstanceSpec(family, params))
+    assert hashlib.sha256(repr(g.adjacency).encode()).hexdigest() == \
+        GOLDEN_ADJACENCY_SHA256[family, params]
+
+
+def test_generate_function_shadows_the_submodule():
+    import maxleaf
+    import maxleaf.generate as bound
+
+    # The package attribute is the function, so this import binds it too.
+    assert bound is generate is maxleaf.generate
+    assert callable(bound) and not hasattr(bound, "MAX_EDGES")
+    # The module stays reachable by its full name.
+    assert generate_mod.__name__ == "maxleaf.generate"
+    assert generate_mod.generate is generate
+    assert generate_mod.MAX_EDGES == 1 << 24

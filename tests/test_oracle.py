@@ -61,7 +61,7 @@ def test_adding_an_edge_never_hurts():
         m = rng.randint(n - 1, min(14, n * (n - 1) // 2 - 1))
         g = generate(InstanceSpec("random_connected", (n, m), rng.getrandbits(32)))
         base = max_leaf_exact(g).opt_leaves
-        present = g.edge_set()
+        present = set(g.edge_list())
         missing = [(u, v) for u in range(n) for v in range(u + 1, n)
                    if (u, v) not in present]
         extra = missing[rng.randrange(len(missing))]
