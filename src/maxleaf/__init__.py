@@ -14,7 +14,7 @@ from .generate import FAMILIES, InfeasibleSpecError, InstanceSpec, generate
 from .graph import (Graph, GraphFormatError, is_connected, parse, serialize,
                     to_dot)
 from .oracle import (CompareResult, OracleDisagreementError, OracleResult,
-                     compare, max_leaf_cds, max_leaf_exact)
+                     compare, leaf_budget_bound, max_leaf_cds, max_leaf_exact)
 from .solver import (DisconnectedGraphError, ExpansionStep, ExpansionTrace,
                      SpanningTree, StartPolicy, TreeCheck, leaf_count,
                      pick_start, tree, verify_spanning_tree)
@@ -27,7 +27,7 @@ __all__ = [
     "FAMILIES", "InfeasibleSpecError", "InstanceSpec", "generate",
     "Graph", "GraphFormatError", "is_connected", "parse", "serialize", "to_dot",
     "CompareResult", "OracleDisagreementError", "OracleResult", "compare",
-    "max_leaf_cds", "max_leaf_exact",
+    "leaf_budget_bound", "max_leaf_cds", "max_leaf_exact",
     "DisconnectedGraphError", "ExpansionStep", "ExpansionTrace",
     "SpanningTree", "StartPolicy", "TreeCheck", "leaf_count", "pick_start",
     "tree", "verify_spanning_tree",

@@ -68,7 +68,8 @@ def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
                 raise ValueError(f"{label} step at {u} adds {end - begin} vertices")
             max_rank += 1
             r = max_rank
-        neighbors = set(g.adjacency[u])
+        # A one-vertex step checks the row itself; a set pays off only for more.
+        neighbors = g.adjacency[u] if end - begin == 1 else set(g.adjacency[u])
         for v in added[begin:end]:
             if v not in neighbors:
                 raise ValueError(f"trace adds non-neighbor {v} at {u}")
@@ -119,7 +120,11 @@ def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
     f_degree = [0] * n
     for v, p in enumerate(t.parent):
         r = rank[v]
-        classes.setdefault(r, []).append(v)
+        members = classes.get(r)
+        if members is None:
+            classes[r] = [v]
+        else:
+            members.append(v)
         if p is not None and r == rank[p]:
             f_degree[v] += 1
             f_degree[p] += 1
@@ -128,7 +133,7 @@ def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
     components = tuple(sorted(map(tuple, classes.values()), key=len, reverse=True))
 
     for comp in components:
-        degrees = [f_degree[v] for v in comp]
+        degrees = list(map(f_degree.__getitem__, comp))
         if sum(degrees) != 2 * (len(comp) - 1):
             raise CertificateError(
                 f"rank class {comp} holds {sum(degrees) // 2} forest edges, "
@@ -241,7 +246,7 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
     for comp in f.components:
         if len(comp) == 1:
             unique[comp[0]] = 1
-    leaf_f = bytes(d == 1 for d in f_degree)
+    leaf_f = bytes(map((1).__eq__, f_degree))
 
     local_degree = []
     upward_neighbor = []
@@ -250,7 +255,11 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
     for u in range(n):
         ru = rank[u]
         nbrs = adjacency[u]
-        higher = [v for v in nbrs if rank[v] > ru]
+        # A plain loop: on 3.10-3.11 a comprehension is a function call per vertex.
+        higher = []
+        for v in nbrs:
+            if rank[v] > ru:
+                higher.append(v)
         if higher:
             if len(higher) > 1:
                 upward_neighbor.append((u, higher[0], higher[1]))
@@ -258,7 +267,9 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
                 branch_rank.extend((u, v) for v in higher)
         if not unique[u]:
             continue
-        unique_over_leaf.extend((u, v) for v in nbrs if leaf_f[v] and ru <= rank[v])
+        for v in nbrs:
+            if leaf_f[v] and ru <= rank[v]:
+                unique_over_leaf.append((u, v))
         # Contrapositive scan: only unique-rank centers of degree >= 3 with a
         # higher neighbor can violate.
         if len(nbrs) >= 3 and higher:

@@ -68,7 +68,7 @@ class Graph:
     def __init__(self, n: int, adjacency: list[tuple[int, ...]]):
         self.n = n
         self.adjacency = [tuple(row) for row in adjacency]
-        self.m = sum(len(a) for a in self.adjacency) // 2
+        self.m = sum(map(len, self.adjacency)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -121,6 +121,45 @@ def is_connected(g: Graph) -> bool:
                 reached += 1
                 queue.append(v)
     return reached == g.n
+
+
+def articulation_points(g: Graph) -> tuple[bytearray, int]:
+    """Cut vertices of g by one iterative Tarjan low-point pass from vertex 0.
+
+    Returns a flag per vertex, 1 for a cut vertex of the component of
+    vertex 0, and the number of vertices that pass reached, which equals n
+    exactly when g is connected. O(n + m) time and no recursion.
+    """
+    adjacency = g.adjacency
+    n = g.n
+    cut = bytearray(n)
+    disc = [0] * n                 # discovery time, 0 = not yet reached
+    low = [0] * n
+    disc[0] = low[0] = reached = 1
+    root_children = 0
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        v, p, it = stack[-1]
+        for w in it:
+            if not disc[w]:
+                reached += 1
+                disc[w] = low[w] = reached
+                stack.append((w, v, iter(adjacency[w])))
+                break
+            if w != p and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if p == 0:
+                root_children += 1
+            elif p > 0:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    cut[p] = 1
+    if root_children >= 2:
+        cut[0] = 1
+    return cut, reached
 
 
 def _parse_int(token: str, what: str, line: int) -> int:

@@ -17,9 +17,19 @@
   set (Fernau et al., "An exact algorithm for the maximum leaf spanning tree
   problem", TCS 2011). Cut vertices lie in every connected dominating set and
   degree-1 vertices never need to, so only the remaining vertices are
-  searched, as bitmask subsets in increasing size. The cost grows
-  exponentially in the number of those non-cut vertices, not in the number
-  of spanning trees; tight_search uses it for every admitted trial.
+  searched, as bitmask subsets in increasing size. The search starts at
+  n - leaf_budget_bound(g) - |cut vertices| of them, not at 0: a connected
+  dominating set D gives a tree with n - |D| leaves, so a smaller D would
+  beat a sound upper bound. The sizes skipped hold no solution, so the first
+  set found, and with it the witness, is the one a search from 0 finds.
+  The cost grows exponentially in the number of those non-cut vertices,
+  not in the number of spanning trees; tight_search uses it for every
+  admitted trial.
+
+* leaf_budget_bound is a cheap upper bound on the leaves of every spanning
+  tree that uses neither the solver nor the rank forest: cut vertices are
+  never leaves, and a leaf of degree d leaves d - 1 of its edges out of the
+  tree. tight_search uses it as its second admission bound.
 
 Neither engine calls the greedy solver or the certificate: they are the
 ground truth those are checked against.
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certificate import Certificate, LemmaReport, certify
-from .graph import Graph, is_connected
+from .graph import Graph, articulation_points, is_connected
 from .solver import (DisconnectedGraphError, SpanningTree, StartPolicy,
                      leaf_count, tree)
 
@@ -166,40 +176,42 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     return OracleResult(best_leaves, _tree_from_edges(n, best_edges), trees, exhausted)
 
 
-def _articulation_points(adjacency: list[tuple[int, ...]]) -> tuple[int, int]:
-    """Iterative Tarjan low-point pass from vertex 0.
-
-    Returns a bitmask of the cut vertices and the number of vertices
-    reached, which equals n exactly when the graph is connected.
-    """
-    n = len(adjacency)
-    disc = [0] * n                 # discovery time, 0 = not yet reached
-    low = [0] * n
-    disc[0] = low[0] = reached = 1
-    cut = root_children = 0
-    stack = [(0, -1, iter(adjacency[0]))]
-    while stack:
-        v, p, it = stack[-1]
-        for w in it:
-            if not disc[w]:
-                reached += 1
-                disc[w] = low[w] = reached
-                stack.append((w, v, iter(adjacency[w])))
+def _leaf_budget(adjacency: list[tuple[int, ...]], m: int, cut: bytearray) -> int:
+    """leaf_budget_bound from the rows and the cut flags of a connected graph."""
+    # count[d] = non-cut vertices of degree d, for d = 0..n.
+    count = [0] * (len(adjacency) + 1)
+    for row, c in zip(adjacency, cut):
+        if not c:
+            count[len(row)] += 1
+    leaves = count[1]
+    budget = 2 * (m - len(adjacency) + 1)
+    for d in range(2, len(count)):
+        k = count[d]
+        if k:
+            take = min(k, budget // (d - 1))
+            leaves += take
+            if take < k:
                 break
-            if w != p and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if p == 0:
-                root_children += 1
-            elif p > 0:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    cut |= 1 << p
-    if root_children >= 2:
-        cut |= 1
-    return cut, reached
+            budget -= take * (d - 1)
+    return leaves
+
+
+def leaf_budget_bound(g: Graph) -> int:
+    """An upper bound on the leaves of every spanning tree of connected g,
+    from neither the solver nor the rank forest, in O(n + m).
+
+    A cut vertex is internal in every spanning tree. A leaf of degree d
+    leaves d - 1 of its edges out of the tree, and the m - n + 1 left-out
+    edges count at both their endpoints, so the leaves' (d - 1) sum to at
+    most 2(m - n + 1). The bound is the number of degree-1 vertices plus
+    the most other non-cut vertices, taken in ascending degree, whose
+    (d - 1) fit in that budget. n=1 gives 0 and n=2 gives 2, the optima.
+    Raises DisconnectedGraphError on disconnected input.
+    """
+    cut, reached = articulation_points(g)
+    if reached != g.n:
+        raise DisconnectedGraphError("leaf budget needs a connected graph")
+    return _leaf_budget(g.adjacency, g.m, cut)
 
 
 def _induced_connected(mask: int, nbr: list[int]) -> bool:
@@ -228,7 +240,7 @@ def max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
     """
     n = g.n
     adjacency = g.adjacency
-    cut, reached = _articulation_points(adjacency)
+    cut, reached = articulation_points(g)
     if reached != n:
         raise DisconnectedGraphError("oracle requires a connected graph")
     if n <= 2:
@@ -243,21 +255,27 @@ def max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
         nbr[v] = mask
         closed[v] = mask | 1 << v
     full = (1 << n) - 1
-    forced_dom = 0
+    forced = forced_dom = 0
     candidates = []
     for v in range(n):
-        if cut >> v & 1:
+        if cut[v]:
+            forced |= 1 << v
             forced_dom |= closed[v]
         elif len(adjacency[v]) >= 2:
             candidates.append(v)
 
-    # Every non-leaf vertex together is connected and dominating (n >= 3),
-    # so the search ends by size len(candidates) at the latest.
+    # D holds every cut vertex, and n - |D| leaves <= the leaf budget bound,
+    # so no D has fewer than n - bound - |cut| candidates: the sizes skipped
+    # hold none, and the first D found is the one a search from size 0
+    # finds. Every non-leaf vertex together is connected and dominating
+    # (n >= 3), so the search ends by size len(candidates) at the latest.
+    first = max(0 if forced else 1,
+                n - _leaf_budget(adjacency, g.m, cut) - cut.count(1))
     d = 0
-    for k in range(0 if cut else 1, len(candidates) + 1):
+    for k in range(first, len(candidates) + 1):
         for combo in combinations(candidates, k):
             dom = forced_dom
-            mask = cut
+            mask = forced
             for v in combo:
                 dom |= closed[v]
                 mask |= 1 << v

@@ -68,6 +68,9 @@ class StartPolicy:
         raise ValueError(f"unknown start policy {text!r}")
 
 
+_FIRST_ELIGIBLE = StartPolicy.first_eligible()   # tree()'s default, built once
+
+
 @dataclass(frozen=True, slots=True)
 class ExpansionStep:
     """One tree expansion: all outside neighbors of center joined at once."""
@@ -157,8 +160,9 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
     if n <= 2:
         return 0
     if policy.kind == "first":
+        adjacency = g.adjacency
         for v in range(n):      # ends on vertex n - 1 when no degree reaches 2
-            if g.degree(v) >= 2:
+            if len(adjacency[v]) >= 2:
                 break
     elif policy.kind == "maxdeg":
         v = max(range(n), key=g.degree)     # the first, so the lowest id, of a tie
@@ -191,10 +195,8 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     Returns the tree plus the expansion trace. Deterministic for a fixed
     (graph, policy). Raises DisconnectedGraphError when g is disconnected.
     """
-    if policy is None:
-        policy = StartPolicy.first_eligible()
     n = g.n
-    start = pick_start(g, policy)
+    start = pick_start(g, policy or _FIRST_ELIGIBLE)
     if n == 1:
         return SpanningTree(start, (None,)), ExpansionTrace(start)
 
@@ -202,7 +204,7 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     in_tree = bytearray(n)
     parent: list[int | None] = [None] * n
     # cnt[w] = number of neighbors of w outside the tree, for every w
-    cnt = [len(a) for a in adjacency]
+    cnt = list(map(len, adjacency))
     # scan pointer per vertex: entries before it are known to be in the tree
     ptr = [0] * n
     w2: deque[int] = deque()

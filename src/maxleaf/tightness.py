@@ -1,19 +1,25 @@
 """Randomized search for instances where the greedy tree does badly.
 
-Each trial draws a small random connected graph, solves it, and uses the
-certificate upper bound as a cheap admission filter: the exact oracle runs
-only when the bound leaves room to improve on the incumbents. Two champions
-are tracked over the run:
+Each trial draws a small random connected graph and solves it. Two sound
+upper bounds on its optimum act as an admission filter: the exact oracle
+runs only when both leave room to improve on the incumbents. The first is
+the certificate's upper_bound, which comes with every trial; the second,
+oracle.leaf_budget_bound (cut vertices and the non-tree edge budget), is
+computed only for trials the first admits. The filter's tests are strict,
+so a skipped trial could not have become a champion: the bounds decide how
+many trials reach the oracle, never which instances win. Two champions are
+tracked over the run:
 
 * best  -- maximizes opt / alg, the observed approximation ratio;
 * tight -- maximizes opt - (2 * alg - 2), i.e. the instance closest to
   (or beyond) the worst ratio the guarantee permits.
 
 Admitted trials are solved exactly by oracle.max_leaf_cds (minimum connected
-dominating set). Each new champion is confirmed by the independent
-spanning-tree enumerator, oracle.max_leaf_exact, under PER_TRIAL_TREE_BUDGET:
-a finished enumeration must give the same optimum, an exhausted one a
-partial best no larger; anything else raises OracleDisagreementError.
+dominating set); oracle_calls counts those calls. Each new champion is
+confirmed by the independent spanning-tree enumerator, oracle.max_leaf_exact,
+under PER_TRIAL_TREE_BUDGET: a finished enumeration must give the same
+optimum, an exhausted one a partial best no larger; anything else raises
+OracleDisagreementError.
 
 With MAX_EXTRA_EDGES = 5, an instance has m = n - 1 + k edges with k <= 5,
 and each spanning tree omits exactly k of them, so there are at most
@@ -35,9 +41,10 @@ import random
 from dataclasses import dataclass
 
 from .certificate import CertificateError, certify
-from .generate import add_random_edges, graph_from_keys, uniform_random_tree
+from .generate import _draws, add_random_edges, graph_from_keys, uniform_random_tree
 from .graph import Graph
-from .oracle import OracleDisagreementError, max_leaf_cds, max_leaf_exact
+from .oracle import (OracleDisagreementError, leaf_budget_bound, max_leaf_cds,
+                     max_leaf_exact)
 from .solver import StartPolicy, leaf_count, tree
 
 PER_TRIAL_TREE_BUDGET = 200_000
@@ -65,16 +72,26 @@ class TightSearchResult:
     best: TightInstance                 # argmax ratio among oracled trials
     tight: TightInstance | None        # argmax slack, if any reached slack >= 0
     trials: int
-    oracle_calls: int
+    oracle_calls: int    # trials solved exactly: those both bounds admitted
 
 
 def _random_instance(rng: random.Random, n_max: int) -> Graph:
-    n = rng.randint(4, max(4, n_max))
+    # One draw of _draws(rng, k) is the value, and leaves the state, that
+    # rng.randrange(k) would, so these are rng.randint(4, max(4, n_max))
+    # and rng.randint(0, cap).
+    n = 4 + next(_draws(rng, max(4, n_max) - 3))
     keys = set(uniform_random_tree(n, rng))
     cap = min(MAX_EXTRA_EDGES, n * (n - 1) // 2 - (n - 1))
-    extra = rng.randint(0, cap) if cap > 0 else 0
+    extra = next(_draws(rng, cap + 1)) if cap > 0 else 0
     add_random_edges(keys, n, extra, rng)
     return graph_from_keys(n, keys)
+
+
+def _may_improve(bound: int, alg: int, best: TightInstance | None,
+                 tight: TightInstance | None) -> bool:
+    """Could a trial with opt <= bound beat either incumbent?"""
+    return (best is None or bound * best.alg_leaves > best.opt_leaves * alg
+            or bound - (2 * alg - 2) > (tight.slack if tight else -1))
 
 
 def tight_search(n_max: int, trials: int, seed: int,
@@ -98,12 +115,12 @@ def tight_search(n_max: int, trials: int, seed: int,
             raise CertificateError(
                 f"edges {g.edge_list()}: lemma audit failed, witness counts "
                 f"{report.witness_counts()}")
-        ub = cert.upper_bound
-        # Admission filter: opt <= ub, so skip trials that cannot beat
-        # either incumbent even if the bound were attained.
-        improves_ratio = best is None or ub * best.alg_leaves > best.opt_leaves * alg
-        improves_slack = (ub - (2 * alg - 2)) > (tight.slack if tight else -1)
-        if not (improves_ratio or improves_slack):
+        # Admission filter: skip trials that cannot beat either incumbent
+        # even if opt reached min(upper_bound, leaf_budget_bound), the
+        # tighter bound. _may_improve grows with the bound, so testing both
+        # is testing the minimum.
+        if not (_may_improve(cert.upper_bound, alg, best, tight)
+                and _may_improve(leaf_budget_bound(g), alg, best, tight)):
             continue
         oracle_calls += 1
         cand = TightInstance(g, alg, max_leaf_cds(g)[0])

@@ -1,6 +1,7 @@
 """Shared test helpers: a direct graph validator, a trace builder from
 hand-made steps, the reference solver and enumerator, an independent
-step-semantics replayer, the heap-based Pruefer decoder, the instance sets of
+step-semantics replayer, the connected-dominating-set search before its
+start size, the heap-based Pruefer decoder, the instance sets of
 the acceptance campaigns and hypothesis strategies for random connected
 graphs."""
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from itertools import combinations
 from typing import Iterable
 
 from hypothesis import strategies as st
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from maxleaf import (CertificateError, DisconnectedGraphError, ExpansionStep,
                      ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
                      SpanningTree, StartPolicy, generate, pick_start)
-from maxleaf.graph import is_connected
-from maxleaf.oracle import DEFAULT_BUDGET, OracleResult, _tree_from_edges
+from maxleaf.graph import articulation_points, is_connected
+from maxleaf.oracle import (DEFAULT_BUDGET, OracleResult, _induced_connected,
+                            _tree_from_edges)
 from maxleaf.solver import W0, W1, W2
 
 
@@ -269,6 +272,68 @@ def reference_max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     if best_leaves < 0:
         raise DisconnectedGraphError("no spanning tree found")
     return OracleResult(best_leaves, _tree_from_edges(n, best_edges), trees, exhausted)
+
+
+def reference_max_leaf_cds(g: Graph) -> tuple[int, SpanningTree]:
+    """The connected-dominating-set search as it was before it started at the
+    leaf budget's size, kept verbatim but for the cut flags, which it turns
+    into a bitmask: every size from 0 (1 without cut vertices) is searched.
+    max_leaf_cds must match it on the optimum and the witness.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    flags, reached = articulation_points(g)
+    if reached != n:
+        raise DisconnectedGraphError("oracle requires a connected graph")
+    cut = sum(1 << v for v in range(n) if flags[v])
+    if n <= 2:
+        return 2 * (n - 1), _tree_from_edges(n, g.edge_list())
+
+    nbr = [0] * n
+    closed = [0] * n
+    for v, row in enumerate(adjacency):
+        mask = 0
+        for w in row:
+            mask |= 1 << w
+        nbr[v] = mask
+        closed[v] = mask | 1 << v
+    full = (1 << n) - 1
+    forced_dom = 0
+    candidates = []
+    for v in range(n):
+        if cut >> v & 1:
+            forced_dom |= closed[v]
+        elif len(adjacency[v]) >= 2:
+            candidates.append(v)
+
+    d = 0
+    for k in range(0 if cut else 1, len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            dom = forced_dom
+            mask = cut
+            for v in combo:
+                dom |= closed[v]
+                mask |= 1 << v
+            if dom == full and _induced_connected(mask, nbr):
+                d = mask
+                break
+        if d:
+            break
+
+    root = (d & -d).bit_length() - 1
+    seen = 1 << root
+    order = [root]
+    edges = []
+    for x in order:
+        for y in adjacency[x]:
+            if d >> y & 1 and not seen >> y & 1:
+                seen |= 1 << y
+                edges.append((x, y))
+                order.append(y)
+    for v in range(n):
+        if not d >> v & 1:
+            edges.append((v, next(y for y in adjacency[v] if d >> y & 1)))
+    return n - d.bit_count(), _tree_from_edges(n, edges)
 
 
 def replay_trace(g: Graph, trace: ExpansionTrace) -> None:

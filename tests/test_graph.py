@@ -3,9 +3,9 @@ from hypothesis import given, settings
 
 from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
-from maxleaf.graph import _parse_edgelist_bulk
+from maxleaf.graph import _parse_edgelist_bulk, articulation_points
 
-from helpers import arbitrary_graphs, validate_graph
+from helpers import arbitrary_graphs, atlas_connected_graphs, validate_graph
 from parse_corpus import (CORPUS, DIMACS_CORPUS, MUTATION_SEEDS, check_mutations,
                           check_parity, check_serialized, missing_errors)
 
@@ -162,6 +162,41 @@ def test_is_connected_trivial_cases():
 def test_is_connected_matches_generator_guarantee():
     g = generate(InstanceSpec("random_connected", (50, 100), 1))
     assert is_connected(g)
+
+
+def _without(g: Graph, v: int) -> Graph:
+    """g with vertex v deleted and the others renumbered in order."""
+    keep = [u for u in range(g.n) if u != v]
+    new = {u: i for i, u in enumerate(keep)}
+    return Graph.from_edges(g.n - 1, [(new[a], new[b]) for a, b in g.edge_list()
+                                      if v not in (a, b)])
+
+
+def test_articulation_points_match_deleting_each_vertex():
+    graphs = atlas_connected_graphs()
+    assert len(graphs) == 995
+    for g in graphs:
+        cut, reached = articulation_points(g)
+        assert reached == g.n
+        assert list(cut) == [not is_connected(_without(g, v)) for v in range(g.n)], \
+            g.edge_list()
+
+
+@pytest.mark.parametrize("family, cuts", [("path", 10 ** 5 - 2), ("cycle", 0), ("star", 1)])
+def test_articulation_points_are_exact_and_iterative_at_scale(family, cuts):
+    n = 10 ** 5
+    g = (Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]) if family == "path"
+         else generate(InstanceSpec(family, (n,))))
+    cut, reached = articulation_points(g)
+    assert (reached, cut.count(1)) == (n, cuts)
+
+
+def test_articulation_points_report_the_reached_part():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    cut, reached = articulation_points(g)
+    assert reached == 3
+    assert list(cut) == [0, 1, 0, 0, 0, 0]
+    assert articulation_points(Graph.from_edges(1, [])) == (bytearray(1), 1)
 
 
 def test_validate_catches_corruption():

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from maxleaf import (OracleDisagreementError, compare, leaf_count, max_leaf_exact,
@@ -53,6 +56,31 @@ def test_tight_instance_satisfies_the_near_worst_case_bound():
     assert (r.alg_leaves, r.opt_leaves) == (inst.alg_leaves, inst.opt_leaves)
 
 
+# sha256 over 20 000 instances (n_max cycling through 4, 12 and 30) and the
+# final generator state, recorded while _random_instance drew n and the
+# extra-edge count with rng.randint: the draws must stay the same.
+RANDOM_INSTANCE_SHA256 = "2fde45722dff3f635b9f65b7385ba43ad6a8ad630ed1b1436c6a2ec8c1e61d6e"
+
+
+def test_random_instances_are_pinned():
+    rng = random.Random(2026)
+    h = hashlib.sha256()
+    for i in range(20_000):
+        g = tightness._random_instance(rng, (4, 12, 30)[i % 3])
+        h.update(repr((g.n, g.edge_list())).encode())
+    h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == RANDOM_INSTANCE_SHA256
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_leaf_budget_filter_changes_only_the_oracle_calls(monkeypatch, seed):
+    sharp = tight_search(12, 1000, seed=seed)
+    monkeypatch.setattr(tightness, "leaf_budget_bound", lambda g: g.n)   # never binds
+    plain = tight_search(12, 1000, seed=seed)
+    assert (sharp.best, sharp.tight) == (plain.best, plain.tight)
+    assert sharp.oracle_calls < plain.oracle_calls
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         tight_search(3, 10, seed=0)
@@ -60,15 +88,17 @@ def test_parameter_validation():
         tight_search(8, 0, seed=0)
 
 
-# Recorded with the spanning-tree enumerator as the per-trial oracle, before
-# the connected-dominating-set engine took over; the search must not change.
+# best and slack were recorded with the spanning-tree enumerator as the
+# per-trial oracle, before the connected-dominating-set engine took over; the
+# search must not change. The oracle calls are the trials that both
+# admission bounds let through.
 GOLDEN_12_2000 = {
     1: ((3, 5, 10, [(0, 1), (0, 7), (1, 2), (1, 8), (2, 3), (2, 7), (3, 5), (3, 8),
-                    (4, 7), (4, 9), (5, 6), (6, 9)]), 1, 503),
+                    (4, 7), (4, 9), (5, 6), (6, 9)]), 1, 14),
     2: ((3, 5, 6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
-                   (3, 5), (4, 5)]), 1, 211),
+                   (3, 5), (4, 5)]), 1, 4),
     3: ((3, 5, 8, [(0, 7), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5),
-                   (4, 7), (5, 6), (6, 7)]), 1, 425),
+                   (4, 7), (5, 6), (6, 7)]), 1, 8),
 }
 
 
