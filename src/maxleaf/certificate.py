@@ -15,9 +15,16 @@ vertices by rank and checks that count. From F we read off
 an upper bound on the leaf count of EVERY spanning tree of the input, and
 upper_bound <= 2 * leaves(T) - 1 gives the 2-approximation guarantee.
 
-All structural facts the bound relies on are re-checked exhaustively: the
-four lemma validators and the forest invariants pass on every correct run,
-so any reported violation is an implementation-bug detector, never data.
+The audit re-checks what it states: the trace replays onto g
+(assign_ranks), each rank class is one forest component of the right shape
+(build_forest), the counts obey the bound's arithmetic
+(compute_certificate), and the four lemma validators find no witness
+(check_lemmas). Every correct run passes, so a reported violation is an
+implementation-bug detector, never data. The audit does not yet check that
+ranks never fall along a tree edge, rank[v] >= rank[parent[v]]. The replay
+enforces that order without stating it, and the other checks do not imply
+the bound without it: at n = 6, 45 graph/tree/rank triples pass them all
+and still certify a false bound.
 """
 
 from __future__ import annotations

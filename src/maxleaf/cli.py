@@ -149,7 +149,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     bound = "true" if result.bound_ok else "false"
     print(f"alg={result.alg_leaves} opt={result.opt_leaves} "
           f"ratio={result.ratio:.4f} bound_ok={bound}")
-    return EXIT_OK if result.bound_ok else EXIT_CERTIFICATE
+    if not result.certificate_ok:
+        print(f"certificate violation: opt={result.opt_leaves} "
+              f"upper_bound={result.certificate.upper_bound} "
+              f"lemma witnesses {result.lemmas.witness_counts()}", file=sys.stderr)
+    return EXIT_OK if result.bound_ok and result.certificate_ok else EXIT_CERTIFICATE
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

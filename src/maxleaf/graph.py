@@ -34,7 +34,6 @@ concurrent readers.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, islice
 from typing import Iterable
 
@@ -105,22 +104,8 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches all n vertices (true for n=1)."""
-    if g.n <= 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    reached = 1
-    queue = deque([0])
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                queue.append(v)
-    return reached == g.n
+    """True iff the articulation-point pass from vertex 0 reaches all n vertices."""
+    return g.n <= 1 or articulation_points(g)[1] == g.n
 
 
 def articulation_points(g: Graph) -> tuple[bytearray, int]:

@@ -61,10 +61,7 @@ class OracleDisagreementError(RuntimeError):
 
 
 def _tree_from_edges(n: int, edges: tuple[tuple[int, int], ...]) -> SpanningTree:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = Graph.from_edges(n, edges).adjacency
     parent: list[int | None] = [None] * n
     seen = bytearray(n)
     seen[0] = 1
@@ -98,8 +95,6 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     n = g.n
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
-    if n == 1:
-        return OracleResult(0, _tree_from_edges(1, ()), 1)
 
     edges = g.edge_list()
     root = list(range(n))          # union-find without path splitting: n is tiny
@@ -117,22 +112,21 @@ def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,
     internal = 0                   # vertices with partial degree >= 2
 
     def remaining_connects(i: int) -> bool:
-        # Can included edges plus edges[i:] still connect everything?
-        scratch = root.copy()
-
-        def sfind(x: int) -> int:
-            while scratch[x] != x:
-                x = scratch[x]
-            return x
-
+        # Can included edges plus edges[i:] still connect everything? Link
+        # them into the forest itself; find never compresses paths, so
+        # resetting the roots that moved restores the forest exactly.
         comps = n - len(chosen)
+        linked = []
         for u, v in edges[i:]:
-            ru, rv = sfind(u), sfind(v)
+            ru, rv = find(u), find(v)
             if ru != rv:
-                scratch[ru] = rv
+                root[ru] = rv
+                linked.append(ru)
                 comps -= 1
                 if comps == 1:
-                    return True
+                    break
+        for r in linked:
+            root[r] = r
         return comps == 1
 
     # Every call starts from included edges that, with edges[i:], still
@@ -321,7 +315,8 @@ def compare(g: Graph, policy: StartPolicy | None = None,
     """Run the greedy solver, the certificate pipeline and the exact oracle.
 
     bound_ok checks opt <= 2*alg - 1 (the approximation guarantee),
-    certificate_ok checks opt <= upper_bound (soundness of the bound).
+    certificate_ok checks opt <= upper_bound (soundness of the bound) and
+    that the lemma audit passed.
     Both checks are skipped in the degenerate regime n < 3.
 
     The oracle runs with prune_bound=True: only the optimum is read here,

@@ -236,11 +236,12 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
                     cnt[w] -= 1
         ptr[u] = len(au)
         end = len(added)
-        if end > base:
-            centers.append(u)
-            labels.append(label or (W2 if end - base >= 2 else W0))
-            ends.append(end)
-            w2.extend(added[base:])
+        # Every step adds a vertex but an edgeless start's, and for that
+        # one the pick below finds nothing and raises.
+        centers.append(u)
+        labels.append(label or (W2 if end - base >= 2 else W0))
+        ends.append(end)
+        w2.extend(added[base:])
         if end + 1 >= n:
             break
         # Pick the next center and its case.

@@ -155,6 +155,13 @@ def test_assign_ranks_rejects_malformed_flat_layouts():
         (ExpansionTrace(0, (0,), ("W2",), (3,), added), "ends at 3, not at its 4 added"),
         (ExpansionTrace(0, (0,), ("W2",), (5,), added), "ends at 5, not at its 4 added"),
         (ExpansionTrace(0, (), (), (), (1,)), "ends at 0, not at its 1 added"),
+        (ExpansionTrace(5, (0,), ("W2",), (4,), added), "trace start 5 out of range"),
+        (ExpansionTrace(-1, (0,), ("W2",), (4,), added), "trace start -1 out of range"),
+        (ExpansionTrace(0, (1,), ("W2",), (4,), added), "expands at 1 before it joined"),
+        (ExpansionTrace(0, (0, 0), ("W2", "W2"), (1, 4), added),
+         "W2 step at 0 adds fewer than 2 vertices"),
+        (ExpansionTrace(0, (0,), ("W1",), (4,), added), "W1 step at 0 adds 4 vertices"),
+        (ExpansionTrace(0, (0,), ("W2",), (4,), (1, 2, 1, 4)), "adds vertex 1 twice"),
     ]
     for bad, message in malformed:
         with pytest.raises(ValueError, match=message):
@@ -165,6 +172,9 @@ def test_build_forest_flags_corrupt_ranks():
     g = generate(InstanceSpec("cycle", (6,)))
     t, trace = tree(g)
     rank = assign_ranks(g, trace)
+    for wrong_size in (rank[:-1], rank + [1]):
+        with pytest.raises(ValueError, match="tree or rank size differs from graph"):
+            build_forest(g, t, wrong_size)
     rank[trace.start] = 99  # split a rank class without moving edges
     with pytest.raises(CertificateError):
         build_forest(g, t, rank)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from maxleaf import InstanceSpec, generate, parse, serialize
+from maxleaf import InstanceSpec, certify, generate, max_leaf_exact, parse, serialize
 from maxleaf.cli import main, parse_gen_spec
 
 
@@ -218,6 +220,38 @@ def test_compare_star5(capsys):
     assert out == "alg=4 opt=4 ratio=1.0000 bound_ok=true\n"
 
 
+def _failing_audit(g, t, trace):
+    cert, report = certify(g, t, trace)
+    return cert, dataclasses.replace(report, branch_rank=((0, 1),))
+
+
+def _inflated_optimum(g, **kwargs):
+    return dataclasses.replace(max_leaf_exact(g, **kwargs), opt_leaves=6)
+
+
+@pytest.mark.parametrize("name, fake, out, err", [
+    # One lemma witness: opt <= upper_bound still holds, the audit does not.
+    ("certify", _failing_audit, "alg=4 opt=4 ratio=1.0000 bound_ok=true\n",
+     "certificate violation: opt=4 upper_bound=5 lemma witnesses (0, 0, 1, 0)\n"),
+    # opt = 6 is within 2*alg - 1 = 7 but above the certified bound of 5.
+    ("max_leaf_exact", _inflated_optimum, "alg=4 opt=6 ratio=1.5000 bound_ok=true\n",
+     "certificate violation: opt=6 upper_bound=5 lemma witnesses (0, 0, 0, 0)\n"),
+])
+def test_compare_exits_4_on_a_failed_certificate_check(capsys, monkeypatch, name, fake,
+                                                        out, err):
+    from maxleaf import oracle
+    monkeypatch.setattr(oracle, name, fake)
+    assert run_cli(capsys, "compare", "--gen", "star:5") == (4, out, err)
+
+
+def test_certify_exits_4_on_a_failed_lemma_audit(capsys, monkeypatch):
+    monkeypatch.setattr("maxleaf.cli.certify", _failing_audit)
+    code, out, err = run_cli(capsys, "certify", "--gen", "star:5")
+    assert code == 4
+    assert out.endswith("upper_bound=5\nratio_bound=1.2500\nlemmas=fail\n")
+    assert err == "lemma violation witnesses: (0, 0, 1, 0)\n"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--gen", "complete:4", "--edges")
     assert code == 0
@@ -249,6 +283,8 @@ def test_compare_budget_bounds_the_pruned_search(capsys):
     assert code == 0
     assert err == ""
     assert out == "alg=5 opt=5 ratio=1.0000 bound_ok=true\n"
+    assert run_cli(capsys, "compare", "--gen", "complete:6", "--budget", "100") == (
+        5, "", "tree budget 100 exhausted\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,6 +327,10 @@ def test_gen_infeasible_exit_1(capsys):
     code, _, err = run_cli(capsys, "gen", "--gen", "random:5:3")
     assert code == 1
     assert "error" in err
+    assert run_cli(capsys, "gen", "--gen", "star:0") == (
+        1, "", "error: star needs >= 1 vertex, got 0\n")
+    assert run_cli(capsys, "gen", "--gen", "random:0:0") == (
+        1, "", "error: random_connected needs >= 1 vertex, got 0\n")
 
 
 def test_both_input_sources_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -157,6 +158,16 @@ def test_is_connected_trivial_cases():
     assert is_connected(Graph.from_edges(1, []))
     two_disjoint = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected(two_disjoint)
+    assert not is_connected(Graph.from_edges(3, [(0, 1)]))   # one vertex left out
+    assert not is_connected(Graph.from_edges(2, []))
+
+
+@given(arbitrary_graphs())
+@settings(max_examples=200)
+def test_is_connected_matches_networkx(g):
+    ng = nx.empty_graph(g.n)
+    ng.add_edges_from(g.edge_list())
+    assert is_connected(g) == nx.is_connected(ng)
 
 
 def test_is_connected_matches_generator_guarantee():
@@ -164,22 +175,16 @@ def test_is_connected_matches_generator_guarantee():
     assert is_connected(g)
 
 
-def _without(g: Graph, v: int) -> Graph:
-    """g with vertex v deleted and the others renumbered in order."""
-    keep = [u for u in range(g.n) if u != v]
-    new = {u: i for i, u in enumerate(keep)}
-    return Graph.from_edges(g.n - 1, [(new[a], new[b]) for a, b in g.edge_list()
-                                      if v not in (a, b)])
-
-
 def test_articulation_points_match_deleting_each_vertex():
+    # networkx is the reference: is_connected itself runs articulation_points.
     graphs = atlas_connected_graphs()
     assert len(graphs) == 995
     for g in graphs:
         cut, reached = articulation_points(g)
         assert reached == g.n
-        assert list(cut) == [not is_connected(_without(g, v)) for v in range(g.n)], \
-            g.edge_list()
+        ng = nx.Graph(g.edge_list())
+        assert list(cut) == [not nx.is_connected(nx.restricted_view(ng, [v], []))
+                             for v in range(g.n)], g.edge_list()
 
 
 @pytest.mark.parametrize("family, cuts", [("path", 10 ** 5 - 2), ("cycle", 0), ("star", 1)])

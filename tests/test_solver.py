@@ -113,6 +113,14 @@ def test_verify_rejects_bad_trees():
     assert verify_spanning_tree(g, short).reason == "vertex-count-mismatch"
     orphan = type(t)(t.root, t.parent[:2] + (None,) + t.parent[3:], t.leaf_set)
     assert verify_spanning_tree(g, orphan).reason == "missing-parent"
+    assert verify_spanning_tree(g, type(t)(5, t.parent, t.leaf_set)).reason \
+        == "root-out-of-range"
+    assert verify_spanning_tree(g, type(t)(2, t.parent, t.leaf_set)).reason \
+        == "root-has-parent"
+    far = type(t)(t.root, t.parent[:2] + (5,) + t.parent[3:], t.leaf_set)
+    assert verify_spanning_tree(g, far).reason == "parent-out-of-range"
+    no_leaves = type(t)(t.root, t.parent, frozenset())
+    assert verify_spanning_tree(g, no_leaves).reason == "leaf-set-mismatch"
 
 
 def test_verify_detects_parent_cycle():
