@@ -18,11 +18,16 @@ Edgelist text in the canonical form that serialize() writes is read in
 bulk: ASCII only, no '#', no blank lines, every line two tokens joined by
 exactly one space, '\n' as the only other separator, at most
 min(2m + 1, MAX_VERTICES) declared vertices, and every vertex id spelled
-in plain decimal, as "%d" writes it. That path does one bytes split(),
-looks each id token up in a table from the "%d" spelling of every id in
-range to one shared int (one lookup converts, range-checks and interns
-it), frees the tokens and the table before it builds the adjacency rows,
-and checks the rows once for duplicates and self-loops. Any other text
+in plain decimal, as "%d" writes it. That path first gates on the line
+count and the header alone, allocating nothing in proportion to n or to
+the text until they pass. It then builds a table from the "%d" spelling of
+every id in range to one shared int (one lookup converts, range-checks and
+interns it) and reads the body in chunks of about 64 KiB cut at line
+ends: each chunk is encoded, checked, split, looked up and appended to the
+adjacency rows, and its tokens are freed before the next. The peak thus
+holds the text, the table, the rows and one chunk, never a whole-file
+token list. The table is freed before the rows are checked once for
+duplicates and self-loops and become the Graph. Any other text
 (ids such as "+1", "007", "-0" or "0_1" included), canonical text that
 fails a check, and all DIMACS text go to the line parser, which accepts
 exactly the same graphs. Errors, with their messages and line numbers,
@@ -34,7 +39,7 @@ concurrent readers.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable
 
 # The most vertices a parsed header may declare. A graph costs about 115
@@ -159,32 +164,44 @@ def _parse_int(token: str, what: str, line: int) -> int:
 _TOKEN_BYTES = bytes(c for c in range(128) if c not in b" \n\t\r\x0b\x0c\x1c\x1d\x1e\x1f#")
 
 
+# The bulk parser encodes, splits and looks up the body this many characters
+# at a time (rounded up to a whole line), so no whole-file token list exists.
+_CHUNK = 1 << 16
+
+
+def _canonical_tokens(raw: bytes) -> list[bytes] | None:
+    """The tokens of canonical "u v\n" lines, or None if raw is anything else."""
+    # Canonical lines, with a missing final "\n" put back, have separators
+    # that alternate " " and "\n", and each of the pieces before them, one
+    # per separator, is a non-empty token. With only " " and "\n" between
+    # tokens, bytes.split() cuts where str.split() would.
+    seps = raw.translate(None, _TOKEN_BYTES)
+    if not raw.endswith(b"\n"):
+        seps += b"\n"
+    if seps != b" \n" * (len(seps) // 2):
+        return None
+    tokens = raw.split()
+    return tokens if len(tokens) == len(seps) else None
+
+
 def _parse_edgelist_bulk(text: str) -> Graph | None:
     """The canonical-text fast path of parse(); None where the line parser must run."""
     if not text.isascii():
         return None
-    # Canonical text, with its final "\n" put back if missing, is "u v\n"
-    # lines: its separators alternate " " and "\n", and each of the pieces
-    # before them, one per separator, is a non-empty token.
-    raw = text.encode("ascii")
-    seps = raw.translate(None, _TOKEN_BYTES)
-    if not text.endswith("\n"):
-        seps += b"\n"
-    lines = len(seps) // 2
-    if lines == 0 or seps != b" \n" * lines:
-        return None
-    # With only " " and "\n" between tokens, bytes.split() cuts where
-    # str.split() would.
-    tokens = raw.split()
-    if len(tokens) != len(seps):
+    # Every gate that needs no more than the header runs before anything in
+    # proportion to n or to the text is allocated.
+    lines = text.count("\n") + (not text.endswith("\n"))
+    body = text.find("\n") + 1 or len(text)
+    header = _canonical_tokens(text[:body].encode("ascii"))
+    if header is None:
         return None
     try:
-        n, m = int(tokens[0]), int(tokens[1])
+        n, m = int(header[0]), int(header[1])
     except ValueError:
         return None
     # n <= 2m + 1 keeps the id table and what is built below in proportion
     # to the text; a connected graph always qualifies.
-    if not 1 <= n <= len(tokens) - 1 or n > MAX_VERTICES or m != lines - 1:
+    if not 1 <= n <= 2 * lines - 1 or n > MAX_VERTICES or m != lines - 1:
         return None
     # The table maps the plain-decimal spelling of each id in range to one
     # shared int, so a single lookup converts a token, checks its range and
@@ -192,17 +209,26 @@ def _parse_edgelist_bulk(text: str) -> Graph | None:
     # underscored or no integer) misses and leaves the text to the line
     # parser.
     table = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
-    try:
-        ids = list(map(table.__getitem__, islice(tokens, 2, None)))
-    except KeyError:
-        return None
-    # Freed before the rows grow, so the peak holds only one of the two.
-    del tokens, table
     rows: list[list[int]] = [[] for _ in range(n)]
-    it = iter(ids)
-    for u, v in zip(it, it):
-        rows[u].append(v)
-        rows[v].append(u)
+    while body < len(text):
+        end = text.find("\n", body + _CHUNK) + 1 or len(text)
+        tokens = _canonical_tokens(text[body:end].encode("ascii"))
+        if tokens is None:
+            return None
+        try:
+            ids = list(map(table.__getitem__, tokens))
+        except KeyError:
+            return None
+        # Freed before the next chunk, so the peak holds one chunk's tokens.
+        del tokens
+        it = iter(ids)
+        for u, v in zip(it, it):
+            rows[u].append(v)
+            rows[v].append(u)
+        body = end
+    # Freed before Graph() copies the rows into tuples, so the peak holds
+    # only one of the two.
+    del table
     # A duplicate edge, or a self-loop (u twice in row u), shrinks a row's set.
     if sum(map(len, map(set, rows))) != 2 * m:
         return None

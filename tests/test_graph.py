@@ -1,10 +1,13 @@
+import functools
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
-from maxleaf.graph import _parse_edgelist_bulk, articulation_points
+from maxleaf.graph import _CHUNK, _parse_edgelist_bulk, articulation_points
 
 from helpers import arbitrary_graphs, atlas_connected_graphs, validate_graph
 from parse_corpus import (CORPUS, DIMACS_CORPUS, MUTATION_SEEDS, check_mutations,
@@ -105,6 +108,78 @@ def test_vertex_cap_is_a_parse_error_on_the_header_line(monkeypatch, fmt, text):
     assert exc.value.line == 2
 
 
+MULTI_CHUNK_N = 16384
+
+
+@functools.cache
+def multi_chunk_text() -> str:
+    """A canonical connected edgelist of about 700 KB: ten bulk-parse chunks."""
+    text = serialize(generate(InstanceSpec("random_connected", (MULTI_CHUNK_N, 65536), 1)))
+    assert len(text) > 8 * _CHUNK
+    return text
+
+
+def _edit_last_edge(text: str, edit) -> str:
+    head, last = text[:-1].rsplit("\n", 1)
+    return f"{head}\n{edit(*last.split())}\n"
+
+
+def _edit_header_m(text: str, delta: int) -> str:
+    header, body = text.split("\n", 1)
+    n, m = header.split()
+    return f"{n} {int(m) + delta}\n{body}"
+
+
+# name -> (edit of the multi-chunk text, whether the bulk path accepts it)
+MULTI_CHUNK_EDITS = {
+    "clean": (lambda t: t, True),
+    "no final newline": (lambda t: t[:-1], True),
+    "signed id in the last chunk": (
+        lambda t: _edit_last_edge(t, lambda u, v: f"{u} +{v}"), False),
+    "zero-padded id in the last chunk": (
+        lambda t: _edit_last_edge(t, lambda u, v: f"00{u} {v}"), False),
+    "out-of-range id in the last chunk": (
+        lambda t: _edit_last_edge(t, lambda u, v: f"{u} {MULTI_CHUNK_N}"), False),
+    "self-loop in the last chunk": (
+        lambda t: _edit_last_edge(t, lambda u, v: f"{u} {u}"), False),
+    "first edge repeated in the last chunk": (
+        lambda t: _edit_last_edge(t, lambda u, v: t.split("\n", 2)[1]), False),
+    "header m one too many": (lambda t: _edit_header_m(t, 1), False),
+    "header m one too few": (lambda t: _edit_header_m(t, -1), False),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_CHUNK_EDITS))
+def test_bulk_parse_matches_line_parser_across_chunks(name):
+    edit, bulk = MULTI_CHUNK_EDITS[name]
+    check_parity(edit(multi_chunk_text()), bulk)
+
+
+def test_bulk_parse_peak_memory_is_within_11x_the_text():
+    # A whole-file token list and id list held at once peak at about 14x
+    # the text; split and looked up one chunk at a time, about 7x.
+    text = multi_chunk_text()
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * len(text)
+
+
+def test_bulk_gate_rejects_a_huge_header_before_allocating():
+    # parse() would hand this valid text to the line parser, which builds
+    # all 2^24 rows; the bulk gate must refuse it from the line count alone.
+    tracemalloc.start()
+    try:
+        assert _parse_edgelist_bulk(f"{2**24} 1\n0 1\n") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_bulk_parse_shares_one_int_per_vertex_id():
     # Ids above 256 escape CPython's small-int cache; 300 isolated vertices
     # stay within the 2m + 1 the gate allows.
@@ -113,6 +188,10 @@ def test_bulk_parse_shares_one_int_per_vertex_id():
         1000, [(u + 300, v + 300) for u, v in inner.edge_list()])))
     assert g is not None and g.m == 1400
     assert len({id(v) for row in g.adjacency for v in row}) == 700
+    # The id table is shared by every chunk of a long text.
+    g = _parse_edgelist_bulk(multi_chunk_text())
+    assert g is not None and g.n == MULTI_CHUNK_N
+    assert len({id(v) for row in g.adjacency for v in row}) == MULTI_CHUNK_N
 
 
 def test_vertex_cap_closes_the_bulk_gate(monkeypatch):
