@@ -42,19 +42,19 @@ class CertificateError(ValueError):
 def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
     """Replay a trace and return the per-vertex rank (>= 1 everywhere).
 
-    Reads the flat layout directly. Raises ValueError if the layout is
-    malformed or the trace is inconsistent with g.
+    Reads the flat layout directly. Raises CertificateError if the layout
+    is malformed or the trace is inconsistent with g.
     """
     n = g.n
     if not 0 <= trace.start < n:
-        raise ValueError(f"trace start {trace.start} out of range")
+        raise CertificateError(f"trace start {trace.start} out of range")
     centers, labels, ends, added = trace.centers, trace.labels, trace.ends, trace.added
     if not len(centers) == len(labels) == len(ends):
-        raise ValueError(f"trace has {len(centers)} centers, {len(labels)} labels "
-                         f"and {len(ends)} ends")
+        raise CertificateError(f"trace has {len(centers)} centers, {len(labels)} "
+                               f"labels and {len(ends)} ends")
     if (ends[-1] if ends else 0) != len(added):
-        raise ValueError(f"trace ends at {ends[-1] if ends else 0}, "
-                         f"not at its {len(added)} added vertices")
+        raise CertificateError(f"trace ends at {ends[-1] if ends else 0}, "
+                               f"not at its {len(added)} added vertices")
     rank = [0] * n
     rank[trace.start] = 1
     in_tree = bytearray(n)
@@ -63,30 +63,30 @@ def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
     begin = 0
     for u, label, end in zip(centers, labels, ends):
         if not in_tree[u]:
-            raise ValueError(f"trace expands at {u} before it joined the tree")
+            raise CertificateError(f"trace expands at {u} before it joined the tree")
         if end <= begin:
-            raise ValueError(f"trace step at {u} adds no vertices")
+            raise CertificateError(f"trace step at {u} adds no vertices")
         if label == W2:
             if end - begin < 2:
-                raise ValueError(f"W2 step at {u} adds fewer than 2 vertices")
+                raise CertificateError(f"W2 step at {u} adds fewer than 2 vertices")
             r = rank[u]
         else:
             if end - begin != 1:
-                raise ValueError(f"{label} step at {u} adds {end - begin} vertices")
+                raise CertificateError(f"{label} step at {u} adds {end - begin} vertices")
             max_rank += 1
             r = max_rank
         # A one-vertex step checks the row itself; a set pays off only for more.
         neighbors = g.adjacency[u] if end - begin == 1 else set(g.adjacency[u])
         for v in added[begin:end]:
             if v not in neighbors:
-                raise ValueError(f"trace adds non-neighbor {v} at {u}")
+                raise CertificateError(f"trace adds non-neighbor {v} at {u}")
             if in_tree[v]:
-                raise ValueError(f"trace adds vertex {v} twice")
+                raise CertificateError(f"trace adds vertex {v} twice")
             in_tree[v] = 1
             rank[v] = r
         begin = end
     if not all(in_tree):
-        raise ValueError("trace does not span all vertices")
+        raise CertificateError("trace does not span all vertices")
     return rank
 
 
@@ -122,7 +122,7 @@ def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
     """
     n = g.n
     if len(t.parent) != n or len(rank) != n:
-        raise ValueError("tree or rank size differs from graph")
+        raise CertificateError("tree or rank size differs from graph")
     classes: dict[int, list[int]] = {}
     f_degree = [0] * n
     for v, p in enumerate(t.parent):

@@ -16,8 +16,8 @@ import sys
 from . import bench as bench_mod
 from .certificate import CertificateError, certify
 from .generate import PARAM_COUNTS, InstanceSpec, generate
-# cmd_certify calls is_connected only on its error path; perfbench's worker
-# also wraps cli.is_connected by name, so the name must stay importable here.
+# Nothing here calls is_connected; perfbench's worker wraps cli.is_connected
+# by name, so the name must stay importable here.
 from .graph import FORMATS, Graph, GraphFormatError, is_connected, parse, serialize, to_dot
 from .oracle import DEFAULT_BUDGET, OracleDisagreementError, compare, max_leaf_exact
 from .solver import DisconnectedGraphError, StartPolicy, leaf_count, tree
@@ -96,19 +96,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if g.n < 3:
-        print(f"certificates need at least 3 vertices, got n={g.n}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        t, trace = tree(g, args.policy)
-    except ValueError as exc:
-        # tree() raises DisconnectedGraphError on every disconnected graph,
-        # but checks an explicit start vertex first; a disconnected graph
-        # reports as such either way.
-        if not isinstance(exc, DisconnectedGraphError) and is_connected(g):
-            raise
-        print("input graph is disconnected", file=sys.stderr)
-        return EXIT_DISCONNECTED
+    t, trace = tree(g, args.policy)
     cert, report = certify(g, t, trace)
     print(f"n={g.n}")
     print(f"m={g.m}")

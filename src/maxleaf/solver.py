@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse
 
-from .graph import Graph
+from .graph import Graph, is_connected
 
 W2, W1, W0 = "W2", "W1", "W0"
 
@@ -147,16 +147,27 @@ def leaf_count(t: SpanningTree) -> int:
 
 
 def pick_start(g: Graph, policy: StartPolicy) -> int:
-    """Resolve the start vertex for a run; requires degree >= 2 when n >= 3."""
+    """Resolve the start vertex for a run; requires degree >= 2 when n >= 3.
+
+    The one place that decides whether a run can start. A refused explicit
+    start (out of range, or degree < 2 with n >= 3) raises
+    DisconnectedGraphError on a disconnected graph and ValueError on a
+    connected one; only that refusal pays for the connectivity pass. The
+    other policies raise DisconnectedGraphError when no vertex reaches
+    degree 2 at n >= 3.
+    """
     n = g.n
     if policy.kind == "explicit":
         v = policy.vertex
         if v is None or not 0 <= v < n:
-            raise ValueError(f"start vertex {v} out of range [0, {n})")
-        if n >= 3 and g.degree(v) < 2:
-            raise ValueError(
-                f"start vertex {v} has degree {g.degree(v)} < 2")
-        return v
+            reason = f"start vertex {v} out of range [0, {n})"
+        elif n >= 3 and g.degree(v) < 2:
+            reason = f"start vertex {v} has degree {g.degree(v)} < 2"
+        else:
+            return v
+        if not is_connected(g):
+            raise DisconnectedGraphError(f"{reason}, and the graph is disconnected")
+        raise ValueError(reason)
     if n <= 2:
         return 0
     if policy.kind == "first":
@@ -193,7 +204,9 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     """Build a spanning tree of the connected simple graph g by greedy expansion.
 
     Returns the tree plus the expansion trace. Deterministic for a fixed
-    (graph, policy). Raises DisconnectedGraphError when g is disconnected.
+    (graph, policy). Raises DisconnectedGraphError whenever g is
+    disconnected, under every policy, and ValueError when an explicit start
+    is refused on a connected g (see pick_start).
     """
     n = g.n
     start = pick_start(g, policy or _FIRST_ELIGIBLE)

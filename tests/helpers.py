@@ -500,7 +500,7 @@ def reference_build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankFo
     check; build_forest must match it."""
     n = g.n
     if len(t.parent) != n or len(rank) != n:
-        raise ValueError("tree or rank size differs from graph")
+        raise CertificateError("tree or rank size differs from graph")
     f_adj: list[list[int]] = [[] for _ in range(n)]
     for v, p in enumerate(t.parent):
         if p is not None and rank[v] == rank[p]:

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import pytest
 
-from maxleaf import InstanceSpec, certify, generate, max_leaf_exact, parse, serialize
+from maxleaf import (ExpansionTrace, InstanceSpec, certify, generate, max_leaf_exact, parse,
+                     serialize, tree)
 from maxleaf.cli import main, parse_gen_spec
 
 
@@ -100,7 +102,13 @@ def test_solve_disconnected_exit_3(tmp_path, capsys):
 
 # Every degree <= 1, so no start vertex exists; and a triangle plus an edge,
 # where a run starts but reaches only part of the graph.
-@pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "5 4\n0 1\n1 2\n0 2\n3 4\n"])
+DISCONNECTED = {
+    "4 2\n0 1\n2 3\n": "no vertex of degree >= 2: graph is disconnected",
+    "5 4\n0 1\n1 2\n0 2\n3 4\n": "graph is disconnected: reached 3 of 5 vertices",
+}
+
+
+@pytest.mark.parametrize("text", DISCONNECTED)
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_certify_disconnected_exit_3(tmp_path, capsys, monkeypatch, text, source):
     import io
@@ -111,17 +119,68 @@ def test_certify_disconnected_exit_3(tmp_path, capsys, monkeypatch, text, source
     else:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         arg = "-"
-    assert run_cli(capsys, "certify", arg) == (3, "", "input graph is disconnected\n")
+    assert run_cli(capsys, "certify", arg) == (3, "", f"error: {DISCONNECTED[text]}\n")
 
 
 # An explicit start vertex of degree < 2, or out of range, is a usage error
 # on a connected graph but reports disconnection on a disconnected one.
-@pytest.mark.parametrize("policy", ["maxdeg", "vertex:0", "vertex:3", "vertex:9"])
+REFUSED_START = {
+    "maxdeg": "graph is disconnected: reached 3 of 5 vertices",
+    "vertex:0": "graph is disconnected: reached 3 of 5 vertices",
+    "vertex:3": "start vertex 3 has degree 1 < 2, and the graph is disconnected",
+    "vertex:9": "start vertex 9 out of range [0, 5), and the graph is disconnected",
+}
+
+
+@pytest.mark.parametrize("policy", REFUSED_START)
 def test_certify_disconnected_exit_3_under_every_start_policy(tmp_path, capsys, policy):
     path = tmp_path / "parts.edgelist"
     path.write_text("5 4\n0 1\n1 2\n0 2\n3 4\n")
     assert run_cli(capsys, "certify", str(path), "--start-policy", policy) == (
-        3, "", "input graph is disconnected\n")
+        3, "", f"error: {REFUSED_START[policy]}\n")
+
+
+# The exit code of each command under each start policy, from one rule: a
+# disconnected input exits 3 everywhere; on a connected one, a refused
+# explicit start exits 1, and so does certify below 3 vertices.
+MATRIX_INPUTS = {
+    "two edges": ("4 2\n0 1\n2 3\n", False),
+    "triangle plus edge": ("5 4\n0 1\n1 2\n0 2\n3 4\n", False),
+    "one vertex": ("1 0\n", True),
+    "one edge": ("2 1\n0 1\n", True),
+    "two vertices": ("2 0\n", False),
+    "edge plus vertex": ("3 1\n0 1\n", False),
+    "star:5": (None, True),
+}
+MATRIX_POLICIES = [(), ("--start-policy", "maxdeg"), ("--start-policy", "vertex:0"),
+                   ("--start-policy", "vertex:3")]
+
+
+def _expected_exit(command, policy, text, connected):
+    if not connected:
+        return 3
+    if policy[-1:] == ("vertex:3",):     # out of range, or a star leaf
+        return 1
+    if command == "certify" and text is not None and int(text.split()[0]) < 3:
+        return 1
+    return 0
+
+
+@pytest.mark.parametrize("name", MATRIX_INPUTS)
+@pytest.mark.parametrize("command, policy", [
+    *((c, p) for c in ("solve", "certify", "compare") for p in MATRIX_POLICIES),
+    ("oracle", ())])
+def test_exit_code_matrix(tmp_path, capsys, name, command, policy):
+    text, connected = MATRIX_INPUTS[name]
+    if text is None:
+        source = ("--gen", name)
+    else:
+        path = tmp_path / "g.edgelist"
+        path.write_text(text)
+        source = (str(path),)
+    code, out, err = run_cli(capsys, command, *source, *policy)
+    assert code == _expected_exit(command, policy, text, connected), err
+    assert (out == "") == (code != 0)
 
 
 @pytest.mark.parametrize("policy, err", [
@@ -209,9 +268,8 @@ def test_certify_output_is_the_same_on_both_parse_paths(tmp_path, capsys):
 def test_certify_small_n_is_rejected(capsys, tmp_path):
     path = tmp_path / "edge.edgelist"
     path.write_text("2 1\n0 1\n")
-    code, out, err = run_cli(capsys, "certify", str(path))
-    assert code == 1
-    assert "at least 3 vertices" in err
+    assert run_cli(capsys, "certify", str(path)) == (
+        1, "", "error: certificate needs n >= 3, got n=2\n")
 
 
 def test_compare_star5(capsys):
@@ -250,6 +308,32 @@ def test_certify_exits_4_on_a_failed_lemma_audit(capsys, monkeypatch):
     assert code == 4
     assert out.endswith("upper_bound=5\nratio_bound=1.2500\nlemmas=fail\n")
     assert err == "lemma violation witnesses: (0, 0, 1, 0)\n"
+
+
+def _tree_adding_start_twice(g, policy=None):
+    """tree(), but a W0 step right after the first adds the start again."""
+    t, trace = tree(g, policy)
+    first, e = trace.added[0], trace.ends[0]
+    return t, ExpansionTrace(
+        trace.start, (trace.centers[0], first, *trace.centers[1:]),
+        (trace.labels[0], "W0", *trace.labels[1:]),
+        (e, e + 1, *(end + 1 for end in trace.ends[1:])),
+        (*trace.added[:e], trace.start, *trace.added[e:]), trace.touches)
+
+
+# A trace that does not replay is an audit failure, not a usage error.
+@pytest.mark.parametrize("argv", [
+    ("certify", "--gen", "star:5"),
+    ("compare", "--gen", "star:5"),
+    ("tight-search", "--n-max", "8", "--trials", "20", "--out", "{out}")])
+def test_a_trace_that_fails_to_replay_exits_4(tmp_path, capsys, monkeypatch, argv):
+    from maxleaf import cli, oracle, tightness
+    for module in (cli, oracle, tightness):
+        monkeypatch.setattr(module, "tree", _tree_adding_start_twice)
+    argv = [a.format(out=tmp_path / "t.edgelist") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert re.fullmatch(r"certificate violation: trace adds vertex \d+ twice\n", err)
 
 
 def test_oracle_command(capsys):

@@ -62,10 +62,11 @@ def test_pick_start_policies():
 
 def test_pick_start_rejects_low_degree_explicit():
     path = parse("3 2\n0 1\n1 2")
-    with pytest.raises(ValueError, match="degree"):
-        pick_start(path, StartPolicy.explicit(0))
-    with pytest.raises(ValueError, match="out of range"):
-        pick_start(path, StartPolicy.explicit(5))
+    for v, message in ((0, "start vertex 0 has degree 1 < 2"),
+                       (5, r"start vertex 5 out of range \[0, 3\)")):
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            pick_start(path, StartPolicy.explicit(v))
+        assert not isinstance(exc.value, DisconnectedGraphError)
 
 
 def test_start_policy_parse():
@@ -86,9 +87,12 @@ def test_single_vertex_and_single_edge():
 
 
 def test_disconnected_input_raises():
+    # Under every policy, including an explicit start tree() must refuse.
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraphError):
-        tree(g)
+    for policy in (None, StartPolicy.max_degree(), StartPolicy.explicit(0),
+                   StartPolicy.explicit(4)):
+        with pytest.raises(DisconnectedGraphError):
+            tree(g, policy)
 
 
 def test_max_degree_policy_changes_the_run():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from maxleaf import (OracleDisagreementError, compare, leaf_count, max_leaf_exact,
-                     tight_search, tightness, tree)
+from maxleaf import (Graph, OracleDisagreementError, certify, compare, leaf_count,
+                     max_leaf_cds, max_leaf_exact, tight_search, tightness, tree,
+                     verify_spanning_tree)
 
 
 def test_same_seed_gives_identical_best_instance():
@@ -142,3 +143,31 @@ def test_confirmation_rejects_a_wrong_optimum(monkeypatch, budget, wrong):
                         lambda g: (wrong(real(g)[0]), None))
     with pytest.raises(OracleDisagreementError):
         tight_search(10, 50, seed=5)
+
+
+# Three instances where the greedy tree attains the guarantee exactly,
+# opt = 2·alg − 1, beyond alg = 4: found by a simulated annealing over edge
+# flips, edge moves and id swaps, scored with max_leaf_cds.
+FACTOR_TWO = [
+    (13, 5, "0-6 0-9 1-2 1-4 1-6 1-9 2-7 2-8 2-12 3-4 4-7 4-8 4-12 5-8 5-9 5-12 "
+            "6-7 7-9 7-10 8-12 10-11"),
+    (14, 5, "0-8 0-11 1-5 1-6 1-11 2-4 2-8 2-9 2-11 2-13 3-4 3-13 4-9 4-13 5-10 "
+            "6-10 7-12 8-9 8-11 9-10 9-11 10-12"),
+    (14, 6, "0-7 0-11 1-2 1-3 1-9 1-13 2-3 2-9 2-12 2-13 3-5 3-6 4-6 4-10 5-6 5-7 "
+            "5-8 6-7 6-8 6-11 8-9 8-12 9-13 10-13 11-13 12-13"),
+]
+
+
+@pytest.mark.parametrize("n, alg, edges", FACTOR_TWO,
+                         ids=[f"n{n}-alg{alg}" for n, alg, _ in FACTOR_TWO])
+def test_greedy_attains_the_factor_two(n, alg, edges):
+    g = Graph.from_edges(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    opt = 2 * alg - 1
+    t, trace = tree(g)
+    assert leaf_count(t) == alg
+    cert, report = certify(g, t, trace)
+    assert cert.upper_bound == opt and report.passed
+    cds_opt, witness = max_leaf_cds(g)
+    assert cds_opt == opt
+    assert verify_spanning_tree(g, witness) and leaf_count(witness) == opt
+    assert max_leaf_exact(g, prune_bound=True).opt_leaves == opt
