@@ -158,8 +158,17 @@ def add_random_edges(keys: set[int], n: int, count: int,
 
 
 def graph_from_keys(n: int, keys: set[int]) -> Graph:
-    """The graph on n vertices whose edges are keys; adjacency ascends."""
-    return Graph.from_edges(n, map(divmod, sorted(keys), repeat(n)))
+    """The graph on n vertices whose edges are keys; adjacency ascends.
+
+    Consumes keys: the set is emptied once sorted, and each key is freed as
+    soon as its edge is read, so the keys are gone before Graph() turns the
+    adjacency lists into tuples.
+    """
+    ordered = sorted(keys, reverse=True)
+    keys.clear()
+    # Popped from the end of a descending sort, the keys come out ascending.
+    ascending = map(ordered.pop, repeat(-1, len(ordered)))
+    return Graph.from_edges(n, map(divmod, ascending, repeat(n)))
 
 
 def _random_connected(n: int, m: int, rng: random.Random) -> Graph:

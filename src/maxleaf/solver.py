@@ -9,10 +9,11 @@ good, or has >= 2 and becomes a W2 candidate. Only as a last resort comes
 the most recently added vertex with a single outside neighbor (W0), which
 grows a path depth-first.
 
-Scheduling uses two FIFO queues (w2, w1) and one LIFO stack (w0) over the
-current leaves plus a per-vertex count of neighbors outside the tree, so a
-whole run costs O(n + m) regardless of expansion order. Every tie is broken
-deterministically (adjacency order), so identical inputs give identical runs.
+Scheduling reads the join order itself at two positions, one for W2 and a
+trailing one for W1, and keeps one LIFO stack (w0), over a per-vertex count
+of neighbors outside the tree, so a whole run costs O(n + m) regardless of
+expansion order. Every tie is broken deterministically (adjacency order),
+so identical inputs give identical runs.
 
 The run is recorded flat: parallel tuples of step centers, case labels and
 cumulative end offsets into one tuple of added vertices. ExpansionStep
@@ -23,7 +24,6 @@ touches = 2m + (sum of final scan pointers) + (number of W1 peeks).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse
@@ -220,24 +220,29 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     cnt = list(map(len, adjacency))
     # scan pointer per vertex: entries before it are known to be in the tree
     ptr = [0] * n
-    w2: deque[int] = deque()
-    w1: deque[int] = deque()
     w0: list[int] = []
     centers: list[int] = []
     labels: list[str] = []
     ends: list[int] = []
     added: list[int] = []
     peeks = 0
+    # The W2 queue is added[head:end]; the W1 queue is the vertices of
+    # added[w1:head] whose count is still >= 1. That equals a FIFO that W2
+    # feeds with each vertex it passes at count 1, because counts only fall:
+    # a vertex W2 passes at count >= 2 is expanded at once (count 0 after),
+    # one at count 0 stays there, and one at count 1 keeps its join order.
+    # W1 is read only once head reaches end, that is, when W2 is empty.
+    head = w1 = 0
 
     in_tree[start] = 1
     for w in adjacency[start]:
         cnt[w] -= 1
-    # The start's own step is W2, or W0 when it adds a single vertex (n == 2).
-    u, label = start, ""
+    # The start's own step is W2: pick_start gives it degree >= 2 when
+    # n >= 3. At n == 2 it adds at most one vertex, a W0 step.
+    u, label = start, (W2 if n >= 3 else W0)
     while True:
         au = adjacency[u]
         p = ptr[u]
-        base = len(added)
         # Joining each neighbor as the scan meets it is safe: a simple
         # graph's row lists every neighbor once.
         for v in (au[p:] if p else au):
@@ -252,23 +257,21 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
         # Every step adds a vertex but an edgeless start's, and for that
         # one the pick below finds nothing and raises.
         centers.append(u)
-        labels.append(label or (W2 if end - base >= 2 else W0))
+        labels.append(label)
         ends.append(end)
-        w2.extend(added[base:])
         if end + 1 >= n:
             break
         # Pick the next center and its case.
         while True:
-            if w2:
-                u = w2.popleft()
-                c = cnt[u]
-                if c >= 2:
+            if head < end:
+                u = added[head]
+                head += 1
+                if cnt[u] >= 2:
                     label = W2
                     break
-                if c == 1:
-                    w1.append(u)
-            elif w1:
-                u = w1.popleft()
+            elif w1 < head:
+                u = added[w1]
+                w1 += 1
                 if cnt[u] == 0:
                     continue
                 au = adjacency[u]

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -77,6 +78,19 @@ def test_random_connected_dense_fallback():
     assert g.m == 27
     validate_graph(g)
     assert is_connected(g)
+
+
+def test_random_connected_peak_stays_near_the_graph():
+    # The key set is emptied once sorted and each key is freed as it is
+    # read, so building the graph costs less than 3x what it keeps.
+    tracemalloc.start()
+    try:
+        g = generate(InstanceSpec("random_connected", (16384, 65536), 1))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 65536
+    assert peak <= 3 * retained
 
 
 def test_degenerate_sizes():

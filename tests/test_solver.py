@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from maxleaf import (DisconnectedGraphError, ExpansionStep, Graph,
                      InstanceSpec, StartPolicy, generate, leaf_count, parse,
-                     pick_start, tree, verify_spanning_tree)
+                     pick_start, tightness, tree, verify_spanning_tree)
 
 from helpers import (atlas_connected_graphs, connected_graphs, reference_tree,
                      replay_trace, trace_from_steps, tree_degrees)
@@ -213,6 +213,21 @@ def test_matches_the_reference_solver_on_random_graphs():
         cap = n * (n - 1) // 2 if seed % 3 == 0 else min(n * (n - 1) // 2, 3 * n)
         m = rng.randint(n - 1, cap)
         assert_matches_reference(generate(InstanceSpec("random_connected", (n, m), seed)))
+
+
+def test_matches_the_reference_solver_on_tight_search_draws():
+    # Small dense draws make W1 and W0 steps frequent.
+    rng = random.Random(20)
+    for _ in range(2000):
+        assert_matches_reference(tightness._random_instance(rng, 14))
+
+
+@pytest.mark.parametrize("k, shape", enumerate([(16384, 65536), (32768, 36864)]),
+                         ids=["edge-bound", "step-bound"])
+def test_matches_the_reference_solver_on_the_benchmark_graphs(k, shape):
+    # The edge-bound and the step-bound graph that perfbench's solve_inmem
+    # workload times, at its default seed of 1.
+    assert_matches_reference(generate(InstanceSpec("random_connected", shape, 1 + k)))
 
 
 def test_disconnected_input_fails_like_the_reference_solver():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from maxleaf import (Graph, OracleDisagreementError, certify, compare, leaf_count,
-                     max_leaf_cds, max_leaf_exact, tight_search, tightness, tree,
-                     verify_spanning_tree)
+from maxleaf import (Graph, OracleDisagreementError, StartPolicy, certify, compare,
+                     leaf_count, max_leaf_cds, max_leaf_exact, tight_search,
+                     tightness, tree, verify_spanning_tree)
 
 
 def test_same_seed_gives_identical_best_instance():
@@ -171,3 +171,19 @@ def test_greedy_attains_the_factor_two(n, alg, edges):
     assert cds_opt == opt
     assert verify_spanning_tree(g, witness) and leaf_count(witness) == opt
     assert max_leaf_exact(g, prune_bound=True).opt_leaves == opt
+
+
+# Under the maxdeg start policy the greedy escapes every FACTOR_TWO trap:
+# (leaves, upper_bound) for each instance, in the same order.
+FACTOR_TWO_MAXDEG = [(8, 11), (7, 10), (9, 13)]
+
+
+@pytest.mark.parametrize("n, alg, edges, maxdeg_alg, bound",
+                         [f + m for f, m in zip(FACTOR_TWO, FACTOR_TWO_MAXDEG)],
+                         ids=[f"n{n}-alg{alg}" for n, alg, _ in FACTOR_TWO])
+def test_maxdeg_start_escapes_the_factor_two(n, alg, edges, maxdeg_alg, bound):
+    g = Graph.from_edges(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    t, trace = tree(g, StartPolicy.max_degree())
+    assert leaf_count(t) == maxdeg_alg > alg
+    cert, report = certify(g, t, trace)
+    assert cert.upper_bound == bound and report.passed
