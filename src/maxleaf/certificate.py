@@ -19,7 +19,9 @@ The audit re-checks what it states: the trace replays onto g
 (assign_ranks), each rank class is one forest component of the right shape
 (build_forest), the counts obey the bound's arithmetic
 (compute_certificate), and the four lemma validators find no witness
-(check_lemmas). Every correct run passes, so a reported violation is an
+(check_lemmas). certify gives the one verdict: it raises CertificateError
+on any failed check, a lemma witness included, so a certificate it returns
+has passed the whole audit. Every correct run passes, so a violation is an
 implementation-bug detector, never data. The audit does not yet check that
 ranks never fall along a tree edge, rank[v] >= rank[parent[v]]. The replay
 enforces that order without stating it, and the other checks do not imply
@@ -292,9 +294,15 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
 
 
 def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certificate, LemmaReport]:
-    """Full pipeline: ranks, forest, certificate, lemma checks."""
+    """Full pipeline: ranks, forest, certificate, lemma checks.
+
+    Raises CertificateError on any failed check, lemma witnesses included,
+    so the report it returns has always passed.
+    """
     rank = assign_ranks(g, trace)
     forest = build_forest(g, t, rank)
     cert = compute_certificate(g, t, forest)
     report = check_lemmas(g, rank, forest)
+    if not report.passed:
+        raise CertificateError(f"lemma audit failed, witness counts {report.witness_counts()}")
     return cert, report

@@ -2,9 +2,12 @@
 
 Families: cycle, star, complete, grid, random_connected, tight_search.
 Every family is a pure function of its InstanceSpec: same spec, same graph.
-Generated adjacency lists are in ascending id order. A spec whose vertex
-count exceeds graph.MAX_VERTICES, or whose edge count exceeds MAX_EDGES,
-is refused before anything is allocated.
+Generated adjacency lists are in ascending id order. Each family states
+its own size: after its feasibility check and before it allocates, it
+passes its vertex count, and its edge count where the vertex count does
+not bound it, to _check_caps. A spec over graph.MAX_VERTICES or MAX_EDGES
+is refused before anything is allocated; tight_search checks n_max, the
+most vertices it may draw.
 
 The random samplers keep an edge (u, v), u < v, on n vertices as the int
 key u*n + v. Keys sort in the same order as the pairs, hash and compare
@@ -58,9 +61,20 @@ class InfeasibleSpecError(ValueError):
     """Parameters cannot produce a connected simple graph."""
 
 
+def _check_caps(family: str, vertices: int, edges: int = 0) -> None:
+    """Refuse a spec over a size cap; each family calls this before it allocates."""
+    if vertices > graph.MAX_VERTICES:
+        raise InfeasibleSpecError(f"{family} asks for {vertices} vertices, "
+                                  f"more than the cap of {graph.MAX_VERTICES}")
+    if edges > MAX_EDGES:
+        raise InfeasibleSpecError(f"{family} asks for {edges} edges, "
+                                  f"more than the cap of {MAX_EDGES}")
+
+
 def _cycle(k: int) -> Graph:
     if k < 3:
         raise InfeasibleSpecError(f"cycle needs >= 3 vertices, got {k}")
+    _check_caps("cycle", k)
     edges = [(i, i + 1) for i in range(k - 1)]
     edges.append((0, k - 1))
     edges.sort()
@@ -70,12 +84,14 @@ def _cycle(k: int) -> Graph:
 def _star(k: int) -> Graph:
     if k < 1:
         raise InfeasibleSpecError(f"star needs >= 1 vertex, got {k}")
+    _check_caps("star", k)
     return Graph.from_edges(k, [(0, i) for i in range(1, k)])
 
 
 def _complete(k: int) -> Graph:
     if k < 1:
         raise InfeasibleSpecError(f"complete needs >= 1 vertex, got {k}")
+    _check_caps("complete", k, k * (k - 1) // 2)
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     return Graph.from_edges(k, edges)
 
@@ -83,6 +99,7 @@ def _complete(k: int) -> Graph:
 def _grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise InfeasibleSpecError(f"grid needs positive dimensions, got {rows}x{cols}")
+    _check_caps("grid", rows * cols, rows * (cols - 1) + cols * (rows - 1))
     # Row by row, each vertex's right then lower edge: already sorted.
     edges = []
     for r in range(rows):
@@ -178,6 +195,7 @@ def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
     if m < n - 1 or m > max_edges:
         raise InfeasibleSpecError(
             f"random_connected({n}, {m}): need {n - 1} <= m <= {max_edges}")
+    _check_caps("random_connected", n, m)
     keys = set(uniform_random_tree(n, rng))
     extra = m - len(keys)
     if extra > 0 and extra > (max_edges - len(keys)) // 2:
@@ -190,28 +208,6 @@ def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
     return graph_from_keys(n, keys)
 
 
-def _vertex_count(family: str, params: tuple[int, ...]) -> int:
-    """Vertices the spec asks for; for tight_search, the most it may draw."""
-    if family == "grid":
-        rows, cols = params
-        return rows * cols if rows > 0 else 0   # _grid rejects rows < 1 itself
-    return params[0]
-
-
-def _edge_count(family: str, params: tuple[int, ...]) -> int:
-    """Edges the spec asks for; 0 where the family rejects the parameters
-    itself, and for cycle, star and tight_search, which the vertex cap bounds."""
-    if family == "complete":
-        k = params[0]
-        return k * (k - 1) // 2 if k > 0 else 0
-    if family == "grid":
-        rows, cols = params
-        return rows * (cols - 1) + cols * (rows - 1) if rows > 0 and cols > 0 else 0
-    if family == "random_connected":
-        return params[1]
-    return 0
-
-
 def generate(spec: InstanceSpec) -> Graph:
     """Build the instance described by spec; deterministic for a fixed spec."""
     family, params = spec.family, spec.params
@@ -220,14 +216,6 @@ def generate(spec: InstanceSpec) -> Graph:
     if len(params) != PARAM_COUNTS[family]:
         raise ValueError(f"{family} takes {PARAM_COUNTS[family]} parameter(s), "
                          f"got {len(params)}")
-    vertices = _vertex_count(family, params)
-    if vertices > graph.MAX_VERTICES:
-        raise InfeasibleSpecError(f"{family} asks for {vertices} vertices, "
-                                  f"more than the cap of {graph.MAX_VERTICES}")
-    edges = _edge_count(family, params)
-    if edges > MAX_EDGES:
-        raise InfeasibleSpecError(f"{family} asks for {edges} edges, "
-                                  f"more than the cap of {MAX_EDGES}")
     if family == "cycle":
         return _cycle(*params)
     if family == "star":
@@ -243,4 +231,5 @@ def generate(spec: InstanceSpec) -> Graph:
     from .tightness import tight_search
 
     n_max, trials = params
+    _check_caps(family, n_max)
     return tight_search(n_max, trials, spec.seed).best.graph

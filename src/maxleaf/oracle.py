@@ -315,9 +315,10 @@ def compare(g: Graph, policy: StartPolicy | None = None,
     """Run the greedy solver, the certificate pipeline and the exact oracle.
 
     bound_ok checks opt <= 2*alg - 1 (the approximation guarantee),
-    certificate_ok checks opt <= upper_bound (soundness of the bound) and
-    that the lemma audit passed.
-    Both checks are skipped in the degenerate regime n < 3.
+    certificate_ok checks opt <= upper_bound (soundness of the bound).
+    Both checks are skipped in the degenerate regime n < 3. A failed
+    certificate audit, lemma witnesses included, raises CertificateError
+    from certify before the oracle runs.
 
     The oracle runs with prune_bound=True: only the optimum is read here,
     not the tree count. budget therefore caps the trees the pruned search
@@ -334,6 +335,6 @@ def compare(g: Graph, policy: StartPolicy | None = None,
     bound_ok = opt <= 2 * alg - 1 if g.n >= 2 else True
     certificate_ok = True
     if cert is not None:
-        certificate_ok = opt <= cert.upper_bound and report.passed
+        certificate_ok = opt <= cert.upper_bound
     return CompareResult(alg, opt, ratio, certificate_ok, bound_ok,
                          cert, report, result.budget_exhausted)

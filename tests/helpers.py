@@ -2,13 +2,15 @@
 hand-made steps, the reference solver and enumerator, an independent
 step-semantics replayer, the connected-dominating-set search before its
 start size, the heap-based Pruefer decoder, the instance sets of
-the acceptance campaigns and hypothesis strategies for random connected
-graphs."""
+the acceptance campaigns, a lemma audit with one injected witness, a
+bytecode counter and hypothesis strategies for random connected graphs."""
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import random
+import sys
 from collections import deque
 from itertools import combinations
 from typing import Iterable
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from maxleaf import (CertificateError, DisconnectedGraphError, ExpansionStep,
                      ExpansionTrace, Graph, InstanceSpec, LemmaReport, RankForest,
-                     SpanningTree, StartPolicy, generate, pick_start)
+                     SpanningTree, StartPolicy, check_lemmas, generate, pick_start)
 from maxleaf.graph import articulation_points, is_connected
 from maxleaf.oracle import (DEFAULT_BUDGET, OracleResult, _induced_connected,
                             _tree_from_edges)
@@ -555,6 +557,50 @@ def tree_degrees(t: SpanningTree) -> list[int]:
             degree[v] += 1
             degree[p] += 1
     return degree
+
+
+def one_lemma_witness(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
+    """check_lemmas with one branch_rank witness added: a failed lemma audit."""
+    return dataclasses.replace(check_lemmas(g, rank, f), branch_rank=((0, 1),))
+
+
+def _no_work() -> None:
+    pass
+
+
+def bytecodes(fn, *args) -> int:
+    """The bytecodes fn(*args) executes in Python frames, its callees' included.
+
+    An exact, repeatable work count from sys.settrace with
+    frame.f_trace_opcodes = True. C-level work is not counted: sorted, set(),
+    map over a C callable, `in` on a tuple and the like each count as the one
+    bytecode that calls them, so a quadratic slip inside C shows only in a
+    wall-clock test.
+
+    Opcode events are switched on at every call and line event: on CPython
+    3.13, switching them on at the call event alone lost every other traced
+    call. On 3.12.1 the first traced call in a process counted 0, even after
+    a traced len([]), so every count is preceded by a throwaway traced call
+    of a Python function.
+    """
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        else:
+            frame.f_trace_opcodes = True
+        return trace
+
+    for f, a in ((_no_work, ()), (fn, args)):
+        count = 0
+        sys.settrace(trace)
+        try:
+            f(*a)
+        finally:
+            sys.settrace(None)
+    return count
 
 
 @st.composite

@@ -10,8 +10,9 @@ from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
                      assign_ranks, build_forest, certify, check_lemmas,
                      compute_certificate, generate, parse, tree)
 
-from helpers import (connected_graphs, reference_build_forest, reference_check_lemmas,
-                     shuffled_edgelist, trace_from_steps, unique_rank_vertices)
+from helpers import (connected_graphs, one_lemma_witness, reference_build_forest,
+                     reference_check_lemmas, shuffled_edgelist, trace_from_steps,
+                     unique_rank_vertices)
 
 
 def run_pipeline(g):
@@ -347,3 +348,12 @@ def test_certify_pipeline_shortcut():
     cert, report = certify(g, t, trace)
     assert report.passed
     assert cert.upper_bound <= 2 * cert.leaf_count - 1
+
+
+def test_certify_raises_on_a_lemma_witness(monkeypatch):
+    g = generate(InstanceSpec("grid", (3, 3)))
+    t, trace = tree(g)
+    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    with pytest.raises(CertificateError, match=r"^lemma audit failed, witness counts "
+                                               r"\(0, 0, 1, 0\)$"):
+        certify(g, t, trace)

@@ -3,9 +3,13 @@ import re
 
 import pytest
 
-from maxleaf import (ExpansionTrace, InstanceSpec, certify, generate, max_leaf_exact, parse,
-                     serialize, tree)
+from maxleaf import (ExpansionTrace, InstanceSpec, RankForest, generate, max_leaf_exact,
+                     parse, serialize, tree)
 from maxleaf.cli import main, parse_gen_spec
+
+from helpers import one_lemma_witness
+
+LEMMA_FAILURE = "certificate violation: lemma audit failed, witness counts (0, 0, 1, 0)\n"
 
 
 def run_cli(capsys, *argv):
@@ -278,36 +282,29 @@ def test_compare_star5(capsys):
     assert out == "alg=4 opt=4 ratio=1.0000 bound_ok=true\n"
 
 
-def _failing_audit(g, t, trace):
-    cert, report = certify(g, t, trace)
-    return cert, dataclasses.replace(report, branch_rank=((0, 1),))
-
-
 def _inflated_optimum(g, **kwargs):
     return dataclasses.replace(max_leaf_exact(g, **kwargs), opt_leaves=6)
 
 
 @pytest.mark.parametrize("name, fake, out, err", [
-    # One lemma witness: opt <= upper_bound still holds, the audit does not.
-    ("certify", _failing_audit, "alg=4 opt=4 ratio=1.0000 bound_ok=true\n",
-     "certificate violation: opt=4 upper_bound=5 lemma witnesses (0, 0, 1, 0)\n"),
+    # One lemma witness: opt <= upper_bound still holds, but certify raises
+    # before compare prints anything.
+    ("check_lemmas", one_lemma_witness, "", LEMMA_FAILURE),
     # opt = 6 is within 2*alg - 1 = 7 but above the certified bound of 5.
     ("max_leaf_exact", _inflated_optimum, "alg=4 opt=6 ratio=1.5000 bound_ok=true\n",
-     "certificate violation: opt=6 upper_bound=5 lemma witnesses (0, 0, 0, 0)\n"),
+     "certificate violation: opt=6 upper_bound=5\n"),
 ])
 def test_compare_exits_4_on_a_failed_certificate_check(capsys, monkeypatch, name, fake,
                                                         out, err):
-    from maxleaf import oracle
-    monkeypatch.setattr(oracle, name, fake)
+    from maxleaf import certificate, oracle
+    module = certificate if name == "check_lemmas" else oracle
+    monkeypatch.setattr(module, name, fake)
     assert run_cli(capsys, "compare", "--gen", "star:5") == (4, out, err)
 
 
 def test_certify_exits_4_on_a_failed_lemma_audit(capsys, monkeypatch):
-    monkeypatch.setattr("maxleaf.cli.certify", _failing_audit)
-    code, out, err = run_cli(capsys, "certify", "--gen", "star:5")
-    assert code == 4
-    assert out.endswith("upper_bound=5\nratio_bound=1.2500\nlemmas=fail\n")
-    assert err == "lemma violation witnesses: (0, 0, 1, 0)\n"
+    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    assert run_cli(capsys, "certify", "--gen", "star:5") == (4, "", LEMMA_FAILURE)
 
 
 def _tree_adding_start_twice(g, policy=None):
@@ -334,6 +331,49 @@ def test_a_trace_that_fails_to_replay_exits_4(tmp_path, capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert re.fullmatch(r"certificate violation: trace adds vertex \d+ twice\n", err)
+
+
+def _alternating_ranks(g, trace):
+    """Ranks 1, 2, 1, 2, ...: on star:5 the class (1, 3) holds no forest edge."""
+    return [1 + v % 2 for v in range(g.n)]
+
+
+def _singleton_forest(g, t, rank):
+    """A forest of singletons only: no big component, so k = 0."""
+    return RankForest(tuple((v,) for v in range(g.n)), (0,) * g.n)
+
+
+# One fault per audit layer, as (module, name, fake) patches, and the one
+# stderr line it must give from every command.
+AUDIT_FAULTS = [
+    pytest.param([(m, "tree", _tree_adding_start_twice) for m in ("cli", "oracle", "tightness")],
+                 "certificate violation: trace adds vertex 0 twice\n", id="replay"),
+    pytest.param([("certificate", "assign_ranks", _alternating_ranks)],
+                 "certificate violation: rank class (1, 3) holds 0 forest edges, not 1: "
+                 "it is not one component\n", id="forest"),
+    pytest.param([("certificate", "build_forest", _singleton_forest)],
+                 "certificate violation: expected k >= 1, got k=0\n", id="arithmetic"),
+    pytest.param([("certificate", "check_lemmas", one_lemma_witness)], LEMMA_FAILURE,
+                 id="lemma"),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("certify", "--gen", "star:5"), id="certify"),
+    pytest.param(("compare", "--gen", "star:5"), id="compare"),
+    pytest.param(("tight-search", "--n-max", "8", "--trials", "20", "--out", "{out}"),
+                 id="tight-search")])
+@pytest.mark.parametrize("patches, err", AUDIT_FAULTS)
+def test_every_audit_failure_gives_one_verdict(tmp_path, capsys, monkeypatch, patches, err,
+                                               argv):
+    # Every trial of tight-search is star:5 too, so each command audits the
+    # same run.
+    star = generate(InstanceSpec("star", (5,)))
+    monkeypatch.setattr("maxleaf.tightness._random_instance", lambda rng, n_max: star)
+    for module, name, fake in patches:
+        monkeypatch.setattr(f"maxleaf.{module}.{name}", fake)
+    argv = [a.format(out=tmp_path / "t.edgelist") for a in argv]
+    assert run_cli(capsys, *argv) == (4, "", err)
 
 
 def test_oracle_command(capsys):
@@ -527,22 +567,9 @@ def test_unreadable_file_exit_1(capsys):
 
 
 def test_failed_lemma_audit_in_tight_search_exits_4(tmp_path, capsys, monkeypatch):
-    import dataclasses
-
-    from maxleaf import tightness
-    real = tightness.certify
-
-    def failing_audit(g, t, trace):
-        cert, report = real(g, t, trace)
-        return cert, dataclasses.replace(report, branch_rank=((0, 1),))
-
-    monkeypatch.setattr(tightness, "certify", failing_audit)
-    code, out, err = run_cli(capsys, "tight-search", "--n-max", "8", "--trials", "20",
-                             "--out", str(tmp_path / "t.edgelist"))
-    assert code == 4
-    assert out == ""
-    assert err.startswith("certificate violation: edges [")
-    assert "lemma audit failed" in err
+    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    assert run_cli(capsys, "tight-search", "--n-max", "8", "--trials", "20",
+                   "--out", str(tmp_path / "t.edgelist")) == (4, "", LEMMA_FAILURE)
 
 
 def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):

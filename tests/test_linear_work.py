@@ -1,0 +1,64 @@
+"""A deterministic linear-work gate for the parse, solve and certify layers.
+
+Each layer runs on a doubling ladder, m = 2^11 .. 2^14, for three shapes,
+and its bytecode count must double with m, not grow faster, and stay under
+a per-layer constant times n + m. Bytecodes are exact and repeatable, so
+the gate does not flake as wall-clock ratios do; it does not see work done
+inside C (see helpers.bytecodes), which criterion 5's wall clock still
+covers.
+"""
+
+import pytest
+
+from maxleaf import (InstanceSpec, assign_ranks, build_forest, certify, check_lemmas,
+                     generate, parse, serialize, tree)
+
+from helpers import bytecodes
+
+LADDER = range(11, 15)
+MAX_RUNG_RATIO = 2.2
+# Bytecodes per (n + m), about 20% above the largest seen over the three
+# shapes on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0: parse 19.5,
+# tree 53.2, assign_ranks 15.2, build_forest 25.5, check_lemmas 21.5 and
+# certify 55.1.
+PER_ELEMENT = {"parse": 24, "tree": 64, "assign_ranks": 19, "build_forest": 31,
+               "check_lemmas": 26, "certify": 66}
+
+
+def _graph(shape, k):
+    m = 1 << k
+    if shape == "random":
+        return generate(InstanceSpec("random_connected", (m // 4, m), k))
+    if shape == "star":
+        return generate(InstanceSpec("star", (m + 1,)))
+    # A 2^a x 2^b grid has about 2^(a+b+1) edges.
+    a = (k - 1) // 2
+    return generate(InstanceSpec("grid", (1 << a, 1 << (k - 1 - a))))
+
+
+def _layer_counts(g):
+    t, trace = tree(g)
+    rank = assign_ranks(g, trace)
+    forest = build_forest(g, t, rank)
+    return {"parse": bytecodes(parse, serialize(g)),
+            "tree": bytecodes(tree, g),
+            "assign_ranks": bytecodes(assign_ranks, g, trace),
+            "build_forest": bytecodes(build_forest, g, t, rank),
+            "check_lemmas": bytecodes(check_lemmas, g, rank, forest),
+            "certify": bytecodes(certify, g, t, trace)}
+
+
+@pytest.mark.parametrize("shape", ["random", "star", "grid"])
+def test_every_layer_does_linear_work(shape):
+    previous = None
+    for k in LADDER:
+        g = _graph(shape, k)
+        counts = _layer_counts(g)
+        for layer, count in counts.items():
+            # Each layer reads every vertex and edge, so a lower count means
+            # the tracer missed frames.
+            assert g.n + g.m <= count <= PER_ELEMENT[layer] * (g.n + g.m), (layer, k, count)
+            if previous is not None:
+                ratio = count / previous[layer]
+                assert ratio <= MAX_RUNG_RATIO, (layer, k, round(ratio, 3))
+        previous = counts

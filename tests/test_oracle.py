@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from maxleaf import (DisconnectedGraphError, Graph, InstanceSpec, compare,
-                     generate, leaf_count, max_leaf_exact, tree,
+from maxleaf import (CertificateError, DisconnectedGraphError, Graph, InstanceSpec,
+                     compare, generate, leaf_count, max_leaf_exact, tree,
                      verify_spanning_tree)
 
 from maxleaf.oracle import DEFAULT_BUDGET
 
 from helpers import (atlas_connected_graphs, campaign_schedule, connected_graphs,
-                     reference_max_leaf_exact)
+                     one_lemma_witness, reference_max_leaf_exact)
 
 
 def test_cycle5_optimum_is_two():
@@ -152,6 +152,13 @@ def test_compare_star_and_cycle():
     r = compare(generate(InstanceSpec("cycle", (5,))))
     assert (r.alg_leaves, r.opt_leaves, r.ratio, r.certificate_ok) == (2, 2, 1.0, True)
     assert r.bound_ok
+
+
+def test_compare_raises_on_a_failed_lemma_audit(monkeypatch):
+    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    with pytest.raises(CertificateError, match=r"^lemma audit failed, witness counts "
+                                               r"\(0, 0, 1, 0\)$"):
+        compare(generate(InstanceSpec("star", (5,))))
 
 
 @given(connected_graphs(min_n=3, max_n=9, max_extra=5))

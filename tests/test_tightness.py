@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from maxleaf import (Graph, OracleDisagreementError, StartPolicy, certify, compare,
-                     leaf_count, max_leaf_cds, max_leaf_exact, tight_search,
-                     tightness, tree, verify_spanning_tree)
+from maxleaf import (CertificateError, Graph, OracleDisagreementError, StartPolicy,
+                     certify, compare, leaf_count, max_leaf_cds, max_leaf_exact,
+                     tight_search, tightness, tree, verify_spanning_tree)
+
+from helpers import one_lemma_witness
 
 
 def test_same_seed_gives_identical_best_instance():
@@ -142,6 +144,13 @@ def test_confirmation_rejects_a_wrong_optimum(monkeypatch, budget, wrong):
     monkeypatch.setattr(tightness, "max_leaf_cds",
                         lambda g: (wrong(real(g)[0]), None))
     with pytest.raises(OracleDisagreementError):
+        tight_search(10, 50, seed=5)
+
+
+def test_a_failed_lemma_audit_stops_the_search(monkeypatch):
+    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    with pytest.raises(CertificateError, match=r"^lemma audit failed, witness counts "
+                                               r"\(0, 0, 1, 0\)$"):
         tight_search(10, 50, seed=5)
 
 
