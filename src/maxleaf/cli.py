@@ -61,10 +61,14 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         return generate(parse_gen_spec(args.gen, args.seed))
     if args.input is None:
         raise ValueError("no input: give a file path ('-' for stdin) or --gen")
+    # Both sources read UTF-8 with universal newlines, whatever the locale.
+    # surrogateescape keeps an undecodable byte as a character that no
+    # token accepts: ignored in a comment, a parse error at its line elsewhere.
     if args.input == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         text = sys.stdin.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     return parse(text, args.format)
 

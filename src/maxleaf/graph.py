@@ -7,31 +7,25 @@ Vertices are dense 0-based integers. Two text formats are supported:
 * dimacs   -- "c" comment lines, one "p edge n m" line, then m lines
   "e u v" with 1-based ids (shifted to 0-based internally).
 
-One line-by-line parser serves both formats. A small table holds what
-differs between them: the comment prefix, the id base and how error
-messages name the header and an edge line; only DIMACS's 'p'/'e' line tags
-need code of their own. The header, edge and edge-count checks are shared.
-A header that declares more than MAX_VERTICES vertices is a parse error,
-raised before anything is allocated.
-
-Edgelist text in the canonical form that serialize() writes is read in
-bulk: ASCII only, no '#', no blank lines, every line two tokens joined by
-exactly one space, '\n' as the only other separator, at most
-min(2m + 1, MAX_VERTICES) declared vertices, and every vertex id spelled
-in plain decimal, as "%d" writes it. That path first gates on the line
-count and the header alone, allocating nothing in proportion to n or to
-the text until they pass. It then builds a table from the "%d" spelling of
-every id in range to one shared int (one lookup converts, range-checks and
-interns it) and reads the body in chunks of about 64 KiB cut at line
-ends: each chunk is encoded, checked, split, looked up and appended to the
-adjacency rows, and its tokens are freed before the next. The peak thus
-holds the text, the table, the rows and one chunk, never a whole-file
-token list. The table is freed before the rows are checked once for
-duplicates and self-loops and become the Graph. Any other text
-(ids such as "+1", "007", "-0" or "0_1" included), canonical text that
-fails a check, and all DIMACS text go to the line parser, which accepts
-exactly the same graphs. Errors, with their messages and line numbers,
-therefore always come from the line parser.
+One reader serves both formats. It takes the text in chunks of about
+64 KiB, each cut just after a '\n', with the first line as a chunk of its
+own, so the chunks' lines are the text's lines and no whole-file line or
+token list exists. An edgelist chunk in the canonical form that serialize()
+writes (ASCII "u v\n" lines, one space between the ids, every id spelled
+in plain decimal, as "%d" writes it) takes a fast route: it is encoded,
+split, and converted and range-checked by one lookup per id in a table of
+the ids below min(n, len(text)). Every other chunk, and all DIMACS text,
+is checked line by line; a small table holds what differs
+between the formats: the comment prefix, the id base and how error
+messages name the header and an edge line. Only DIMACS's 'p'/'e' line tags
+need code of their own. Both routes append to one flat array of ids, and
+Graph.from_edges builds the graph once the whole text has passed: a
+repeated edge, or a self-loop on the fast route, shows there as a row with
+fewer distinct neighbours than entries. Text that fails any check is read
+once more, every line checked in order and every repeat looked up, so the
+error raised is the first in line order. A header that declares more than
+MAX_VERTICES vertices is a parse error, and nothing in proportion to n is
+allocated before the edge count has been checked.
 
 Graphs are immutable after construction and safe to share between
 concurrent readers.
@@ -39,6 +33,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from typing import Iterable
 
@@ -164,13 +159,16 @@ def _parse_int(token: str, what: str, line: int) -> int:
 _TOKEN_BYTES = bytes(c for c in range(128) if c not in b" \n\t\r\x0b\x0c\x1c\x1d\x1e\x1f#")
 
 
-# The bulk parser encodes, splits and looks up the body this many characters
-# at a time (rounded up to a whole line), so no whole-file token list exists.
+# The reader takes the text this many characters at a time, rounded up to a
+# whole line, so no whole-file line or token list exists.
 _CHUNK = 1 << 16
 
 
-def _canonical_tokens(raw: bytes) -> list[bytes] | None:
-    """The tokens of canonical "u v\n" lines, or None if raw is anything else."""
+def _canonical_ids(chunk: str, table: dict[bytes, int]) -> list[int] | None:
+    """The ids of a chunk of canonical "u v\n" lines, or None if it is anything else."""
+    if not chunk.isascii():
+        return None
+    raw = chunk.encode("ascii")
     # Canonical lines, with a missing final "\n" put back, have separators
     # that alternate " " and "\n", and each of the pieces before them, one
     # per separator, is a non-empty token. With only " " and "\n" between
@@ -181,58 +179,14 @@ def _canonical_tokens(raw: bytes) -> list[bytes] | None:
     if seps != b" \n" * (len(seps) // 2):
         return None
     tokens = raw.split()
-    return tokens if len(tokens) == len(seps) else None
-
-
-def _parse_edgelist_bulk(text: str) -> Graph | None:
-    """The canonical-text fast path of parse(); None where the line parser must run."""
-    if not text.isascii():
+    if len(tokens) != len(seps):
         return None
-    # Every gate that needs no more than the header runs before anything in
-    # proportion to n or to the text is allocated.
-    lines = text.count("\n") + (not text.endswith("\n"))
-    body = text.find("\n") + 1 or len(text)
-    header = _canonical_tokens(text[:body].encode("ascii"))
-    if header is None:
-        return None
+    # One lookup converts a token and checks its range. Any other token (past
+    # the table, signed, zero-padded, underscored or no integer) misses.
     try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
+        return list(map(table.__getitem__, tokens))
+    except KeyError:
         return None
-    # n <= 2m + 1 keeps the id table and what is built below in proportion
-    # to the text; a connected graph always qualifies.
-    if not 1 <= n <= 2 * lines - 1 or n > MAX_VERTICES or m != lines - 1:
-        return None
-    # The table maps the plain-decimal spelling of each id in range to one
-    # shared int, so a single lookup converts a token, checks its range and
-    # interns the id. Any other token (out of range, signed, zero-padded,
-    # underscored or no integer) misses and leaves the text to the line
-    # parser.
-    table = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
-    rows: list[list[int]] = [[] for _ in range(n)]
-    while body < len(text):
-        end = text.find("\n", body + _CHUNK) + 1 or len(text)
-        tokens = _canonical_tokens(text[body:end].encode("ascii"))
-        if tokens is None:
-            return None
-        try:
-            ids = list(map(table.__getitem__, tokens))
-        except KeyError:
-            return None
-        # Freed before the next chunk, so the peak holds one chunk's tokens.
-        del tokens
-        it = iter(ids)
-        for u, v in zip(it, it):
-            rows[u].append(v)
-            rows[v].append(u)
-        body = end
-    # Freed before Graph() copies the rows into tuples, so the peak holds
-    # only one of the two.
-    del table
-    # A duplicate edge, or a self-loop (u twice in row u), shrinks a row's set.
-    if sum(map(len, map(set, rows))) != 2 * m:
-        return None
-    return Graph(n, rows)
 
 
 # fmt -> (comment prefix, id base, and how error messages name the header,
@@ -244,76 +198,117 @@ _LINE_FORMATS = {
 FORMATS = tuple(_LINE_FORMATS)
 
 
-def _parse_lines(text: str, fmt: str) -> Graph:
-    """The line-by-line parser of both formats; every parse error comes from here."""
+def _read(text: str, fmt: str, seen: set[tuple[int, int]] | None) -> Graph:
+    """Read text one chunk at a time; parse() alone calls this.
+
+    Without seen, canonical edgelist chunks take the fast route, and repeats,
+    with the fast route's self-loops, are found only at the end. With seen,
+    every line is checked in order, repeats included, so the error raised is
+    the text's first.
+    """
     comment, base, header, header_name, edge = _LINE_FORMATS[fmt]
     n = m = -1
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    header_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        fields = line.split()
-        is_header = n < 0
-        if fmt == "dimacs":
-            # A tag says what the line is. Only "p edge n m" leaves the two
-            # fields the header check below accepts.
-            tag, fields = fields[0], fields[1:]
-            is_header = tag == "p"
-            if is_header:
-                if n >= 0:
-                    raise GraphFormatError("duplicate 'p' line", lineno)
-                fields = fields[1:] if fields[:1] == ["edge"] else []
-            elif tag != "e":
-                raise GraphFormatError(f"unrecognized line {line!r}", lineno)
-            elif n < 0:
-                raise GraphFormatError("'e' line before 'p edge' line", lineno)
-        if is_header:
-            if len(fields) != 2:
-                raise GraphFormatError(f"expected {header}, got {line!r}", lineno)
-            n = _parse_int(fields[0], "vertex count", lineno)
-            m = _parse_int(fields[1], "edge count", lineno)
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
-            if n > MAX_VERTICES:
-                raise GraphFormatError(
-                    f"vertex count must be <= {MAX_VERTICES}, got {n}", lineno)
-            if m < 0:
-                raise GraphFormatError(f"edge count must be >= 0, got {m}", lineno)
-            header_line = lineno
-            continue
-        if len(fields) != 2:
-            raise GraphFormatError(f"expected {edge}, got {line!r}", lineno)
-        u = _parse_int(fields[0], "vertex id", lineno)
-        v = _parse_int(fields[1], "vertex id", lineno)
-        if len(edges) == m:
-            raise GraphFormatError(f"more than the declared {m} edges", lineno)
-        if not (base <= u < n + base and base <= v < n + base):
-            raise GraphFormatError(
-                f"vertex id out of range [{base}, {n - 1 + base}]: {u} {v}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-        seen.add(key)
-        edges.append((u - base, v - base))
+    ids = array("i")            # both ends of every edge read so far, 0-based
+    table = None
+    header_line = lineno = start = 0
+    end = text.find("\n") + 1 or len(text)     # the first line on its own
+    while start < len(text):
+        chunk = text[start:end]
+        new = _canonical_ids(chunk, table) if table is not None else None
+        if new is not None and len(ids) + len(new) <= 2 * m:
+            ids.extend(new)
+            lineno += len(new) // 2
+        else:
+            # A cut just after a "\n" is a line break for splitlines() too,
+            # so the chunks' lines are the text's lines.
+            for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):
+                line = raw.strip()
+                if not line or line.startswith(comment):
+                    continue
+                fields = line.split()
+                is_header = n < 0
+                if fmt == "dimacs":
+                    # A tag says what the line is. Only "p edge n m" leaves the
+                    # two fields the header check below accepts.
+                    tag, fields = fields[0], fields[1:]
+                    is_header = tag == "p"
+                    if is_header:
+                        if n >= 0:
+                            raise GraphFormatError("duplicate 'p' line", lineno)
+                        fields = fields[1:] if fields[:1] == ["edge"] else []
+                    elif tag != "e":
+                        raise GraphFormatError(f"unrecognized line {line!r}", lineno)
+                    elif n < 0:
+                        raise GraphFormatError("'e' line before 'p edge' line", lineno)
+                if is_header:
+                    if len(fields) != 2:
+                        raise GraphFormatError(f"expected {header}, got {line!r}", lineno)
+                    n = _parse_int(fields[0], "vertex count", lineno)
+                    m = _parse_int(fields[1], "edge count", lineno)
+                    if n < 1:
+                        raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
+                    if n > MAX_VERTICES:
+                        raise GraphFormatError(
+                            f"vertex count must be <= {MAX_VERTICES}, got {n}", lineno)
+                    if m < 0:
+                        raise GraphFormatError(f"edge count must be >= 0, got {m}", lineno)
+                    header_line = lineno
+                    if seen is None and fmt == "edgelist":
+                        # The "%d" spelling of each id below min(n, len(text))
+                        # maps to the id: the table grows with the text, not
+                        # with n.
+                        k = min(n, len(text))
+                        table = dict(zip(map(b"%d".__mod__, range(k)), range(k)))
+                    continue
+                if len(fields) != 2:
+                    raise GraphFormatError(f"expected {edge}, got {line!r}", lineno)
+                u = _parse_int(fields[0], "vertex id", lineno)
+                v = _parse_int(fields[1], "vertex id", lineno)
+                if len(ids) == 2 * m:
+                    raise GraphFormatError(f"more than the declared {m} edges", lineno)
+                if not (base <= u < n + base and base <= v < n + base):
+                    raise GraphFormatError(
+                        f"vertex id out of range [{base}, {n - 1 + base}]: {u} {v}", lineno)
+                if u == v:
+                    raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+                if seen is not None:
+                    key = (u, v) if u < v else (v, u)
+                    if key in seen:
+                        raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
+                    seen.add(key)
+                ids.append(u - base)
+                ids.append(v - base)
+        start = end
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
     if n < 0:
         raise GraphFormatError(f"missing {header_name}", 1)
-    if len(edges) != m:
+    if len(ids) != 2 * m:
         raise GraphFormatError(
-            f"declared {m} edges but found {len(edges)}", header_line)
-    return Graph.from_edges(n, edges)
+            f"declared {m} edges but found {len(ids) // 2}", header_line)
+    # The table goes before the rows are built, and the array as soon as
+    # they are (an array iterator lets go of its array once exhausted), so
+    # the peak holds neither beside the rows' lists and tuples.
+    it = iter(ids)
+    del table, ids
+    g = Graph.from_edges(n, zip(it, it))
+    # A repeat, or a self-loop (u twice in row u), shrinks a row's set.
+    if sum(map(len, map(set, g.adjacency))) != 2 * m:
+        raise GraphFormatError("repeated edge or self-loop")
+    return g
 
 
 def parse(text: str, fmt: str = "edgelist") -> Graph:
     """Parse a graph description; raises GraphFormatError with a line number."""
     if fmt not in _LINE_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    g = _parse_edgelist_bulk(text) if fmt == "edgelist" else None
-    return g if g is not None else _parse_lines(text, fmt)
+    try:
+        return _read(text, fmt, None)
+    except GraphFormatError:
+        pass
+    # Only invalid text gets here. The first read finds some errors only at
+    # its end, so the one it raised need not be the first in line order; this
+    # read, fast route off and every repeat looked up, raises that one.
+    return _read(text, fmt, set())
 
 
 def serialize(g: Graph, fmt: str = "edgelist") -> str:

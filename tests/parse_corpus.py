@@ -1,12 +1,12 @@
-"""Parse texts on both sides of the bulk-parse gate, the reference line
-parsers and the parity check.
+"""Texts for parse(), the reference line parsers and the parity check.
 
 `parse(text, fmt)` must return the same Graph as the reference parser of its
-format (the two separate line parsers that `_parse_lines` replaced, kept
-here verbatim), or raise a GraphFormatError with the same message and line
-number. Each edgelist corpus entry also records whether the bulk path reads
-the text itself, so a gate that never opens cannot pass for parity. The
-seeded mutation generator adds tens of thousands of texts per format.
+format (the two separate line parsers that parse() replaced, kept here
+verbatim), or raise a GraphFormatError with the same message and line
+number. Each edgelist corpus entry also records whether parse() accepts the
+text with every body chunk on the fast route, so a fast route that never
+runs cannot pass for parity. The seeded mutation generator adds tens of
+thousands of texts per format.
 
 The module needs neither pytest nor hypothesis; run it as a script to check
 the corpus, 500 seeded serialized graphs and 20,000 mutated texts per format
@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import random
 
-from maxleaf.graph import (Graph, GraphFormatError, _parse_edgelist_bulk,
-                           _parse_int, parse, serialize)
+from maxleaf import graph
+from maxleaf.graph import Graph, GraphFormatError, _parse_int, parse, serialize
 
-# name -> (text, True if the bulk path reads it without the line parser)
+# name -> (text, True if parse() accepts it with every body chunk on the
+# fast route)
 CORPUS = {
     "canonical": ("5 4\n3 4\n0 1\n2 1\n3 2\n", True),
     "no_final_newline": ("3 2\n0 1\n1 2", True),
     "single_vertex": ("1 0\n", True),
     "isolated_vertex_within_2m_plus_1": ("3 1\n1 0\n", True),
-    "isolated_vertices_beyond_2m_plus_1": ("6 2\n0 1\n3 2\n", False),
-    "isolated_vertices_no_edges": ("4 0\n", False),
+    "isolated_vertices_beyond_2m_plus_1": ("6 2\n0 1\n3 2\n", True),
+    "id_past_the_length_of_the_text": ("100 1\n0 99\n", False),
+    "isolated_vertices_no_edges": ("4 0\n", True),
     "signed_and_underscored_ints": ("3 2\n+0 1\n0_1 2\n", False),
     "leading_zero_ids": ("8 4\n00 1\n007 1\n1 2\n2 3\n", False),
     "minus_zero_id": ("3 2\n-0 1\n1 2\n", False),
@@ -54,7 +56,7 @@ CORPUS = {
     "trailing_space_then_one_token_line": ("3 1\n0 \n1", False),
     "trailing_space_at_end_of_text": ("3 2\n0 1\n1 2 ", False),
     "one_token_last_line": ("3 2\n0 1\n1", False),
-    "leading_space": (" 3 2\n0 1\n1 2\n", False),
+    "leading_space": (" 3 2\n0 1\n1 2\n", True),
     "comments": ("# a path\n3 2\n0 1\n# middle\n1 2\n", False),
     "blank_lines": ("\n3 2\n\n0 1\n1 2\n\n", False),
     "file_separator_line_break": ("3 2\n0 1\x1c1 2\n", False),
@@ -72,7 +74,7 @@ CORPUS = {
 }
 
 
-# name -> text. No DIMACS text takes the bulk path.
+# name -> text. No DIMACS text takes the fast route.
 DIMACS_CORPUS = {
     "canonical": "p edge 3 2\ne 1 2\ne 2 3\n",
     "comments": "c a triangle\np edge 3 3\ne 1 2\nc x\ne 2 3\n\ne 1 3",
@@ -103,7 +105,7 @@ DIMACS_CORPUS = {
     "header_negative_edges": "p edge 2 -1\n",
 }
 
-# The fixed text of every error message the line parser raises, per format.
+# The fixed text of every error message parse() raises, per format.
 _SHARED_ERRORS = (
     "vertex count is not an integer", "edge count is not an integer",
     "vertex count must be >= 1", "edge count must be >= 0",
@@ -121,8 +123,8 @@ ERRORS = {
 }
 
 
-# The two line parsers that _parse_lines replaced, verbatim but for their
-# names: the reference that check_parity compares parse() against.
+# The two line parsers that parse() replaced, verbatim but for their names:
+# the reference that check_parity compares parse() against.
 def _reference_add_edge(u: int, v: int, n: int, edges: list, seen: set, line: int, base: int) -> None:
     lo, hi = base, n - 1 + base
     if not (lo <= u <= hi and lo <= v <= hi):
@@ -228,10 +230,25 @@ def outcome(parser, text: str):
 
 
 def check_parity(text: str, bulk: bool, fmt: str = "edgelist"):
-    """Assert parse() matches the reference; return the shared outcome."""
-    result = outcome(lambda t: parse(t, fmt), text)
+    """Assert parse() matches the reference; return the shared outcome.
+
+    bulk says that parse() returns a Graph and converts only the header's two
+    counts with _parse_int: every vertex id was read on the fast route.
+    """
+    calls = 0
+
+    def counting_parse_int(*args):
+        nonlocal calls
+        calls += 1
+        return _parse_int(*args)
+
+    graph._parse_int = counting_parse_int
+    try:
+        result = outcome(lambda t: parse(t, fmt), text)
+    finally:
+        graph._parse_int = _parse_int
     assert result == outcome(REFERENCES[fmt], text), (fmt, text)
-    assert (fmt == "edgelist" and _parse_edgelist_bulk(text) is not None) == bulk, repr(text)
+    assert (isinstance(result, Graph) and calls == 2) == bulk, (calls, text)
     return result
 
 
@@ -250,9 +267,10 @@ def seeded_graphs(count: int, seed: int):
 
 def check_serialized(g: Graph) -> None:
     text = serialize(g)
-    check_parity(text, g.n <= 2 * g.m + 1)
+    # The fast route's id table holds the ids below min(n, len(text)).
+    check_parity(text, all(v < len(text) for row in g.adjacency for v in row))
     assert parse(text) == g
-    check_parity(serialize(g, "dimacs"), False, "dimacs")
+    check_parity(serialize(g, "dimacs"), g.m == 0, "dimacs")
 
 
 _TOKENS = ("p", "e", "c", "edge", "node", "#", "q", "x", "1.5", "+2", "0_1", "٣", "")

@@ -71,7 +71,7 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_solve_reads_stdin(capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3 2\n0 1\n1 2\n")))
     code, out, err = run_cli(capsys, "solve", "-")
     assert code == 0
     assert "leaves=2" in out
@@ -121,9 +121,43 @@ def test_certify_disconnected_exit_3(tmp_path, capsys, monkeypatch, text, source
         path.write_text(text)
         arg = str(path)
     else:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         arg = "-"
     assert run_cli(capsys, "certify", arg) == (3, "", f"error: {DISCONNECTED[text]}\n")
+
+
+# A Latin-1 byte in a comment, which is ignored, and a stray byte inside a
+# token, a parse error at its line.
+STRAY_BYTES = {
+    b"# caf\xe9\n3 2\n0 1\n1 2\n": (0, "n=3\nm=2\nleaves=2\nu_size=0\nk=1\nupper_bound=3\n"
+                                    "ratio_bound=1.5000\nlemmas=pass\n", ""),
+    b"3 2\n0 1\n1 \xff2\n": (2, "", "parse error: line 3: vertex id is not an integer: '\\udcff2'\n"),
+}
+
+
+@pytest.mark.parametrize("data", STRAY_BYTES)
+@pytest.mark.parametrize("ioencoding", [None, "utf-8:strict"])
+def test_file_and_stdin_decode_the_same_bytes_alike(tmp_path, data, ioencoding):
+    # Run as a process, so stdin is the interpreter's own stream. A strict
+    # stdin, as other UTF-8 locales give, is set with PYTHONIOENCODING.
+    import os
+    import subprocess
+    import sys
+
+    import maxleaf
+
+    path = tmp_path / "g.edgelist"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxleaf.__file__)))
+    env.pop("PYTHONIOENCODING", None)
+    if ioencoding:
+        env["PYTHONIOENCODING"] = ioencoding
+    runs = [subprocess.run([sys.executable, "-m", "maxleaf", "certify", arg], input=data,
+                           env=env, capture_output=True, timeout=60)
+            for arg in (str(path), "-")]
+    code, out, err = STRAY_BYTES[data]
+    for run in runs:
+        assert (run.returncode, run.stdout.decode(), run.stderr.decode()) == (code, out, err)
 
 
 # An explicit start vertex of degree < 2, or out of range, is a usage error

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
-from maxleaf.graph import _CHUNK, _parse_edgelist_bulk, articulation_points
+from maxleaf.graph import _CHUNK, articulation_points
 
 from helpers import arbitrary_graphs, atlas_connected_graphs, validate_graph
 from parse_corpus import (CORPUS, DIMACS_CORPUS, MUTATION_SEEDS, check_mutations,
@@ -80,8 +80,14 @@ def test_bulk_parse_matches_line_parser_on_serialized_graphs(g):
 
 
 def test_canonical_text_skips_the_line_parser(monkeypatch):
-    monkeypatch.setattr("maxleaf.graph._parse_lines", None)
+    # Canonical body chunks take the fast route, so only the header's two
+    # counts go through _parse_int, on a one-chunk and a multi-chunk text.
+    counted = []
+    monkeypatch.setattr("maxleaf.graph._parse_int",
+                        lambda token, what, line: counted.append(what) or int(token))
     assert parse("3 2\n0 1\n1 2\n").m == 2
+    assert parse(multi_chunk_text()).m == MULTI_CHUNK_M
+    assert counted == ["vertex count", "edge count"] * 2
 
 
 @pytest.mark.parametrize("name", list(DIMACS_CORPUS))
@@ -108,20 +114,24 @@ def test_vertex_cap_is_a_parse_error_on_the_header_line(monkeypatch, fmt, text):
     assert exc.value.line == 2
 
 
-MULTI_CHUNK_N = 16384
+MULTI_CHUNK_N, MULTI_CHUNK_M = 16384, 65536
 
 
 @functools.cache
-def multi_chunk_text() -> str:
-    """A canonical connected edgelist of about 700 KB: ten bulk-parse chunks."""
-    text = serialize(generate(InstanceSpec("random_connected", (MULTI_CHUNK_N, 65536), 1)))
-    assert len(text) > 8 * _CHUNK
+def multi_chunk_text(fmt: str = "edgelist") -> str:
+    """A connected graph's text of about 700 KB: ten chunks or more."""
+    g = generate(InstanceSpec("random_connected", (MULTI_CHUNK_N, MULTI_CHUNK_M), 1))
+    text = serialize(g, fmt)
+    assert len(text) > 10 * _CHUNK
     return text
 
 
-def _edit_last_edge(text: str, edit) -> str:
-    head, last = text[:-1].rsplit("\n", 1)
-    return f"{head}\n{edit(*last.split())}\n"
+def _edit_line(text: str, lineno: int, edit) -> str:
+    """Replace line lineno (1-based; -1 is the last) by edit(*its fields)."""
+    lines = text.split("\n")[:-1]
+    i = lineno if lineno < 0 else lineno - 1
+    lines[i] = edit(*lines[i].split())
+    return "\n".join(lines) + "\n"
 
 
 def _edit_header_m(text: str, delta: int) -> str:
@@ -130,77 +140,100 @@ def _edit_header_m(text: str, delta: int) -> str:
     return f"{n} {int(m) + delta}\n{body}"
 
 
-# name -> (edit of the multi-chunk text, whether the bulk path accepts it)
+def _insert_line(text: str, at: int, line: str) -> str:
+    """Insert line just after the line break at or past character at."""
+    cut = text.index("\n", at) + 1
+    return f"{text[:cut]}{line}\n{text[cut:]}"
+
+
+# name -> (format, edit of the multi-chunk text, whether parse() reads every
+# body chunk on the fast route)
 MULTI_CHUNK_EDITS = {
-    "clean": (lambda t: t, True),
-    "no final newline": (lambda t: t[:-1], True),
-    "signed id in the last chunk": (
-        lambda t: _edit_last_edge(t, lambda u, v: f"{u} +{v}"), False),
-    "zero-padded id in the last chunk": (
-        lambda t: _edit_last_edge(t, lambda u, v: f"00{u} {v}"), False),
-    "out-of-range id in the last chunk": (
-        lambda t: _edit_last_edge(t, lambda u, v: f"{u} {MULTI_CHUNK_N}"), False),
-    "self-loop in the last chunk": (
-        lambda t: _edit_last_edge(t, lambda u, v: f"{u} {u}"), False),
-    "first edge repeated in the last chunk": (
-        lambda t: _edit_last_edge(t, lambda u, v: t.split("\n", 2)[1]), False),
-    "header m one too many": (lambda t: _edit_header_m(t, 1), False),
-    "header m one too few": (lambda t: _edit_header_m(t, -1), False),
+    "clean": ("edgelist", lambda t: t, True),
+    "no final newline": ("edgelist", lambda t: t[:-1], True),
+    "signed id in the last chunk": ("edgelist",
+        lambda t: _edit_line(t, -1, lambda u, v: f"{u} +{v}"), False),
+    "zero-padded id in the last chunk": ("edgelist",
+        lambda t: _edit_line(t, -1, lambda u, v: f"00{u} {v}"), False),
+    "out-of-range id in the last chunk": ("edgelist",
+        lambda t: _edit_line(t, -1, lambda u, v: f"{u} {MULTI_CHUNK_N}"), False),
+    "self-loop in the last chunk": ("edgelist",
+        lambda t: _edit_line(t, -1, lambda u, v: f"{u} {u}"), False),
+    "first edge repeated in the last chunk": ("edgelist",
+        lambda t: _edit_line(t, -1, lambda u, v: t.split("\n", 2)[1]), False),
+    "header m one too many": ("edgelist", lambda t: _edit_header_m(t, 1), False),
+    "header m one too few": ("edgelist", lambda t: _edit_header_m(t, -1), False),
+    # The fast route finds the self-loop only after the whole text, and the
+    # per-line route raises at the last line first; the reference raises
+    # "line 6: self-loop at vertex 7".
+    "self-loop at line 6, out-of-range id in the last chunk": ("edgelist",
+        lambda t: _edit_line(_edit_line(t, 6, lambda u, v: "7 7"), -1,
+                             lambda u, v: f"{u} {MULTI_CHUNK_N}"), False),
+    # No route looks repeats up on the first read.
+    "line 3 repeated at line 6, non-integer last line": ("edgelist",
+        lambda t: _edit_line(_edit_line(t, 6, lambda u, v: t.split("\n")[2]), -1,
+                             lambda u, v: f"{u} x"), False),
+    "comment in a middle chunk": ("edgelist",
+        lambda t: _insert_line(t, len(t) // 2, "# c"), False),
+    "dimacs clean": ("dimacs", lambda t: t, False),
+    "dimacs first edge repeated in the last chunk": ("dimacs",
+        lambda t: _edit_line(t, -1, lambda *e: t.split("\n", 2)[1]), False),
 }
 
 
 @pytest.mark.parametrize("name", list(MULTI_CHUNK_EDITS))
 def test_bulk_parse_matches_line_parser_across_chunks(name):
-    edit, bulk = MULTI_CHUNK_EDITS[name]
-    check_parity(edit(multi_chunk_text()), bulk)
+    fmt, edit, bulk = MULTI_CHUNK_EDITS[name]
+    check_parity(edit(multi_chunk_text(fmt)), bulk, fmt)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_bulk_parse_peak_memory_is_within_11x_the_text():
-    # A whole-file token list and id list held at once peak at about 14x
-    # the text; split and looked up one chunk at a time, about 7x.
-    text = multi_chunk_text()
-    tracemalloc.start()
-    try:
-        parse(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * len(text)
+    # Whole-file line and edge lists and a seen-set peak at about 26x the
+    # text; read one chunk at a time, at about 5x to 8x.
+    commented = _insert_line(multi_chunk_text(), 0, "# c")
+    for fmt, text in [("edgelist", multi_chunk_text()), ("dimacs", multi_chunk_text("dimacs")),
+                      ("edgelist", commented)]:
+        peak = _traced_peak(parse, text, fmt)
+        assert peak <= 11 * len(text), (fmt, text[:20], peak / len(text))
 
 
 def test_bulk_gate_rejects_a_huge_header_before_allocating():
-    # parse() would hand this valid text to the line parser, which builds
-    # all 2^24 rows; the bulk gate must refuse it from the line count alone.
-    tracemalloc.start()
-    try:
-        assert _parse_edgelist_bulk(f"{2**24} 1\n0 1\n") is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # Both texts fail on their edge count, which parse() checks before it
+    # allocates anything in proportion to the 2^24 declared vertices.
+    for text in [f"{2**24} 1\n0 1\n0 1\n", f"{2**24} 5\n0 1\n"]:
+        assert _traced_peak(check_parity, text, False) < 1 << 20, text
 
 
 def test_bulk_parse_shares_one_int_per_vertex_id():
-    # Ids above 256 escape CPython's small-int cache; 300 isolated vertices
-    # stay within the 2m + 1 the gate allows.
+    # Ids above 256 escape CPython's small-int cache.
     inner = generate(InstanceSpec("random_connected", (700, 1400), 2))
-    g = _parse_edgelist_bulk(serialize(Graph.from_edges(
-        1000, [(u + 300, v + 300) for u, v in inner.edge_list()])))
-    assert g is not None and g.m == 1400
-    assert len({id(v) for row in g.adjacency for v in row}) == 700
-    # The id table is shared by every chunk of a long text.
-    g = _parse_edgelist_bulk(multi_chunk_text())
-    assert g is not None and g.n == MULTI_CHUNK_N
+    text = serialize(Graph.from_edges(1000, [(u + 300, v + 300) for u, v in inner.edge_list()]))
+    commented = _insert_line(text, 0, "# c")
+    dimacs = serialize(parse(text), "dimacs")
+    for fmt, t in [("edgelist", text), ("edgelist", commented), ("dimacs", dimacs)]:
+        g = parse(t, fmt)
+        assert g.m == 1400
+        assert len({id(v) for row in g.adjacency for v in row}) == 700, fmt
+    # One id table serves every chunk of a long text.
+    g = parse(multi_chunk_text())
+    assert g.n == MULTI_CHUNK_N
     assert len({id(v) for row in g.adjacency for v in row}) == MULTI_CHUNK_N
 
 
 def test_vertex_cap_closes_the_bulk_gate(monkeypatch):
     monkeypatch.setattr("maxleaf.graph.MAX_VERTICES", 4)
     check_parity("4 2\n0 1\n2 3\n", True)
-    past_cap = "5 2\n0 1\n2 3\n"       # within 2m + 1 vertices
-    assert _parse_edgelist_bulk(past_cap) is None
     with pytest.raises(GraphFormatError, match="^line 1: vertex count must be <= 4, got 5$"):
-        parse(past_cap)
+        parse("5 2\n0 1\n2 3\n")
 
 
 def test_serialize_triangle_dimacs_sorted():
