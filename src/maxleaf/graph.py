@@ -12,10 +12,14 @@ One reader serves both formats. It takes the text in chunks of about
 own, so the chunks' lines are the text's lines and no whole-file line or
 token list exists. An edgelist chunk in the canonical form that serialize()
 writes (ASCII "u v\n" lines, one space between the ids, every id spelled
-in plain decimal, as "%d" writes it) takes a fast route: it is encoded,
-split, and converted and range-checked by one lookup per id in a table of
-the ids below min(n, len(text)). Every other chunk, and all DIMACS text,
-is checked line by line; a small table holds what differs
+in plain decimal, as "%d" writes it) takes a fast route: with its spaces
+and line breaks turned into commas it is one JSON array, decoded by
+json.loads in C and range-checked by its max. That is exact: once its
+ASCII digits are deleted, a canonical chunk leaves " \n" per line and any
+other character (a sign, '_', '.', 'e', a non-ASCII digit, another
+separator) is left too, and a JSON number of digits alone is "0" or has
+no leading zero, which is how "%d" spells an int. Every other chunk, and
+all DIMACS text, is checked line by line; a small table holds what differs
 between the formats: the comment prefix, the id base and how error
 messages name the header and an edge line. Only DIMACS's 'p'/'e' line tags
 need code of their own. Both routes append to one flat array of ids, and
@@ -33,6 +37,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import json
 from array import array
 from itertools import chain
 from typing import Iterable
@@ -154,39 +159,31 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise GraphFormatError(f"{what} is not an integer: {token!r}", line) from None
 
 
-# Every ASCII byte but the ones that can separate or comment out tokens; what
-# is left after deleting these is the text's separator sequence.
-_TOKEN_BYTES = bytes(c for c in range(128) if c not in b" \n\t\r\x0b\x0c\x1c\x1d\x1e\x1f#")
-
-
 # The reader takes the text this many characters at a time, rounded up to a
 # whole line, so no whole-file line or token list exists.
 _CHUNK = 1 << 16
 
+_DIGITS = str.maketrans("", "", "0123456789")
 
-def _canonical_ids(chunk: str, table: dict[bytes, int]) -> list[int] | None:
+
+def _canonical_ids(chunk: str, n: int) -> list[int] | None:
     """The ids of a chunk of canonical "u v\n" lines, or None if it is anything else."""
-    if not chunk.isascii():
+    # Canonical lines, with a missing final "\n" put back, leave " \n" per
+    # line once their digits are deleted; any other character is left too.
+    seps = chunk.translate(_DIGITS)
+    if not chunk.endswith("\n"):
+        seps += "\n"
+    if seps != " \n" * (len(seps) // 2):
         return None
-    raw = chunk.encode("ascii")
-    # Canonical lines, with a missing final "\n" put back, have separators
-    # that alternate " " and "\n", and each of the pieces before them, one
-    # per separator, is a non-empty token. With only " " and "\n" between
-    # tokens, bytes.split() cuts where str.split() would.
-    seps = raw.translate(None, _TOKEN_BYTES)
-    if not raw.endswith(b"\n"):
-        seps += b"\n"
-    if seps != b" \n" * (len(seps) // 2):
-        return None
-    tokens = raw.split()
-    if len(tokens) != len(seps):
-        return None
-    # One lookup converts a token and checks its range. Any other token (past
-    # the table, signed, zero-padded, underscored or no integer) misses.
+    # A JSON number of digits alone is 0 or has no leading zero, as "%d"
+    # writes it; an empty token is a JSON error or a short count.
     try:
-        return list(map(table.__getitem__, tokens))
-    except KeyError:
+        ids = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",").rstrip(",") + "]")
+    except ValueError:
         return None
+    if len(ids) != len(seps) or max(ids) >= n:
+        return None
+    return ids
 
 
 # fmt -> (comment prefix, id base, and how error messages name the header,
@@ -209,12 +206,12 @@ def _read(text: str, fmt: str, seen: set[tuple[int, int]] | None) -> Graph:
     comment, base, header, header_name, edge = _LINE_FORMATS[fmt]
     n = m = -1
     ids = array("i")            # both ends of every edge read so far, 0-based
-    table = None
+    fast = seen is None and fmt == "edgelist"
     header_line = lineno = start = 0
     end = text.find("\n") + 1 or len(text)     # the first line on its own
     while start < len(text):
         chunk = text[start:end]
-        new = _canonical_ids(chunk, table) if table is not None else None
+        new = _canonical_ids(chunk, n) if fast and n >= 0 else None
         if new is not None and len(ids) + len(new) <= 2 * m:
             ids.extend(new)
             lineno += len(new) // 2
@@ -253,12 +250,6 @@ def _read(text: str, fmt: str, seen: set[tuple[int, int]] | None) -> Graph:
                     if m < 0:
                         raise GraphFormatError(f"edge count must be >= 0, got {m}", lineno)
                     header_line = lineno
-                    if seen is None and fmt == "edgelist":
-                        # The "%d" spelling of each id below min(n, len(text))
-                        # maps to the id: the table grows with the text, not
-                        # with n.
-                        k = min(n, len(text))
-                        table = dict(zip(map(b"%d".__mod__, range(k)), range(k)))
                     continue
                 if len(fields) != 2:
                     raise GraphFormatError(f"expected {edge}, got {line!r}", lineno)
@@ -285,11 +276,11 @@ def _read(text: str, fmt: str, seen: set[tuple[int, int]] | None) -> Graph:
     if len(ids) != 2 * m:
         raise GraphFormatError(
             f"declared {m} edges but found {len(ids) // 2}", header_line)
-    # The table goes before the rows are built, and the array as soon as
-    # they are (an array iterator lets go of its array once exhausted), so
-    # the peak holds neither beside the rows' lists and tuples.
+    # The array goes as soon as the rows are built (an array iterator lets
+    # go of its array once exhausted), so the peak does not hold it beside
+    # the rows' lists and tuples.
     it = iter(ids)
-    del table, ids
+    del ids
     g = Graph.from_edges(n, zip(it, it))
     # A repeat, or a self-loop (u twice in row u), shrinks a row's set.
     if sum(map(len, map(set, g.adjacency))) != 2 * m:

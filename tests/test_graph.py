@@ -146,6 +146,24 @@ def _insert_line(text: str, at: int, line: str) -> str:
     return f"{text[:cut]}{line}\n{text[cut:]}"
 
 
+def _one_token_lines_ending_chunks(t: str) -> str:
+    """An invalid text whose one-token lines 5637 and 11273 each end a chunk.
+
+    Header m is the body line count less one, so the ids add up to 2m, and
+    the pairs shifted by each short line are neither repeats nor self-loops:
+    a fast route that did not count a chunk's tokens would accept it.
+    """
+    n, count = 60000, 20000
+    lines = [f"{7919 * i % n} {(7919 * i + 104729) % n}" for i in range(count)]
+    lines[5637 - 2], lines[11273 - 2] = "10000 ", "100 "
+    text = f"{n} {count - 1}\n" + "\n".join(lines) + "\n"
+    body = text.find("\n") + 1
+    first = text.find("\n", body + _CHUNK) + 1
+    second = text.find("\n", first + _CHUNK) + 1
+    assert text[:first].endswith("\n10000 \n") and text[:second].endswith("\n100 \n")
+    return text
+
+
 # name -> (format, edit of the multi-chunk text, whether parse() reads every
 # body chunk on the fast route)
 MULTI_CHUNK_EDITS = {
@@ -173,6 +191,8 @@ MULTI_CHUNK_EDITS = {
     "line 3 repeated at line 6, non-integer last line": ("edgelist",
         lambda t: _edit_line(_edit_line(t, 6, lambda u, v: t.split("\n")[2]), -1,
                              lambda u, v: f"{u} x"), False),
+    # The reference raises "line 5637: expected edge 'u v', got '10000'".
+    "one-token lines ending two chunks": ("edgelist", _one_token_lines_ending_chunks, False),
     "comment in a middle chunk": ("edgelist",
         lambda t: _insert_line(t, len(t) // 2, "# c"), False),
     "dimacs clean": ("dimacs", lambda t: t, False),
@@ -223,7 +243,8 @@ def test_bulk_parse_shares_one_int_per_vertex_id():
         g = parse(t, fmt)
         assert g.m == 1400
         assert len({id(v) for row in g.adjacency for v in row}) == 700, fmt
-    # One id table serves every chunk of a long text.
+    # from_edges interns the ids of every chunk of a long text, whichever
+    # chunk decoded them.
     g = parse(multi_chunk_text())
     assert g.n == MULTI_CHUNK_N
     assert len({id(v) for row in g.adjacency for v in row}) == MULTI_CHUNK_N
