@@ -16,15 +16,20 @@ an upper bound on the leaf count of EVERY spanning tree of the input, and
 upper_bound <= 2 * leaves(T) - 1 gives the 2-approximation guarantee.
 
 The audit re-checks what it states: the trace replays onto g
-(assign_ranks), each rank class is one forest component of the right shape
-(build_forest), the counts obey the bound's arithmetic
+(assign_ranks), the tree t is the one the trace replays, with the trace's
+start as its root and every other vertex a child of the centre of the step
+that added it (certify), t's leaf set is the one SpanningTree.from_parent's
+rule gives (compute_certificate), each rank class is one forest component
+of the right shape (build_forest), the counts obey the bound's arithmetic
 (compute_certificate), and the four lemma validators find no witness
 (check_lemmas). certify gives the one verdict: it raises CertificateError
 on any failed check, a lemma witness included, so a certificate it returns
 has passed the whole audit. Every correct run passes, so a violation is an
-implementation-bug detector, never data. The audit does not yet check that
-ranks never fall along a tree edge, rank[v] >= rank[parent[v]]. The replay
-enforces that order without stating it, and the other checks do not imply
+implementation-bug detector, never data.
+
+Since t is the trace's tree, ranks never fall along a tree edge inside
+certify. The layers called on their own with a (g, t, rank) triple do not
+check that order, rank[v] >= rank[parent[v]], and their checks do not imply
 the bound without it: at n = 6, 45 graph/tree/rank triples pass them all
 and still certify a false bound.
 """
@@ -115,12 +120,12 @@ def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
     """Group the vertices into rank classes and count forest degrees.
 
     Forest edges (tree edges with equal endpoint ranks) never leave a rank
-    class, and t must be a tree (as tree() returns and verify_spanning_tree
-    checks), so a class of s vertices is one forest component exactly when
-    it holds s - 1 forest edges. Verifies the structural invariants every
-    genuine run satisfies: each rank class is one component, no component
-    has exactly two vertices, and a component with >= 3 vertices has at most
-    one vertex of forest-degree exactly 2. Violations raise CertificateError.
+    class, and t must be a tree (certify checks t against its trace), so a
+    class of s vertices is one forest component exactly when it holds s - 1
+    forest edges. Verifies the structural invariants every genuine run
+    satisfies: each rank class is one component, no component has exactly
+    two vertices, and a component with >= 3 vertices has at most one vertex
+    of forest-degree exactly 2. Violations raise CertificateError.
     """
     n = g.n
     if len(t.parent) != n or len(rank) != n:
@@ -182,6 +187,9 @@ def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate
     upper_bound = n - u_size - k + 1
     leaves = len(t.leaf_set)
     cert = Certificate(u_size, k, upper_bound, leaves)
+
+    if t.leaf_set != SpanningTree.from_parent(t.root, t.parent).leaf_set:
+        raise CertificateError(f"leaf set of {leaves} vertices is not the tree's leaves")
 
     if k < 1:
         raise CertificateError(f"expected k >= 1, got k={k}")
@@ -294,12 +302,27 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
 
 
 def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certificate, LemmaReport]:
-    """Full pipeline: ranks, forest, certificate, lemma checks.
+    """Full pipeline: ranks, the tree against its trace, forest, certificate,
+    lemma checks.
 
     Raises CertificateError on any failed check, lemma witnesses included,
     so the report it returns has always passed.
     """
     rank = assign_ranks(g, trace)
+    # The replayed trace spans g once, and a step at u added its vertices as
+    # u's children, so it fixes every parent link; compute_certificate then
+    # checks the leaves against those links.
+    parent = t.parent
+    if t.root != trace.start or len(parent) != g.n or parent[t.root] is not None:
+        raise CertificateError("tree is not the one its trace replays")
+    added = trace.added
+    begin = 0
+    for u, end in zip(trace.centers, trace.ends):
+        for v in added[begin:end]:
+            if parent[v] != u:
+                raise CertificateError(f"tree gives vertex {v} the parent {parent[v]}, "
+                                       f"its trace {u}")
+        begin = end
     forest = build_forest(g, t, rank)
     cert = compute_certificate(g, t, forest)
     report = check_lemmas(g, rank, forest)

@@ -73,8 +73,7 @@ def _tree_from_edges(n: int, edges: tuple[tuple[int, int], ...]) -> SpanningTree
                 seen[y] = 1
                 parent[y] = x
                 stack.append(y)
-    leaves = frozenset(v for v in range(n) if len(adj[v]) == 1)
-    return SpanningTree(0, tuple(parent), leaves)
+    return SpanningTree.from_parent(0, tuple(parent))
 
 
 def max_leaf_exact(g: Graph, budget: int = DEFAULT_BUDGET,

@@ -15,6 +15,11 @@ of neighbors outside the tree, so a whole run costs O(n + m) regardless of
 expansion order. Every tie is broken deterministically (adjacency order),
 so identical inputs give identical runs.
 
+The tree's leaves follow one rule, SpanningTree.from_parent's: a non-root
+vertex is a leaf when it is nobody's parent, and the root when it is the
+parent of exactly one vertex. tree(), the oracles' witnesses and
+verify_spanning_tree all take their leaves from it.
+
 The run is recorded flat: parallel tuples of step centers, case labels and
 cumulative end offsets into one tuple of added vertices. ExpansionStep
 objects are built only when a caller reads ExpansionTrace.steps. The work
@@ -24,9 +29,9 @@ touches = 2m + (sum of final scan pointers) + (number of W1 peeks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import filterfalse
 
 from .graph import Graph, is_connected
 
@@ -116,9 +121,28 @@ class ExpansionTrace:
 
 @dataclass(frozen=True)
 class SpanningTree:
+    """A rooted spanning tree as parent links, with its leaves.
+
+    One rule gives the leaves, in from_parent: a non-root vertex is a leaf
+    when it is nobody's parent, and the root is a leaf when it is the parent
+    of exactly one vertex. On a tree that is the set of tree-degree-1
+    vertices. leaf_set has no default; verify_spanning_tree and
+    compute_certificate check it against the rule.
+    """
+
     root: int
     parent: tuple[int | None, ...]
-    leaf_set: frozenset[int] = field(default_factory=frozenset)
+    leaf_set: frozenset[int]
+
+    @classmethod
+    def from_parent(cls, root: int, parent: tuple[int | None, ...]) -> SpanningTree:
+        """The tree with these parent links and the leaves the rule gives."""
+        internal = set(parent)
+        # Toggling the root makes it internal with no child, a leaf with one.
+        if parent.count(root) < 2:
+            internal ^= {root}
+        return cls(root, parent, frozenset(filterfalse(internal.__contains__,
+                                                       range(len(parent)))))
 
     def edges(self) -> list[tuple[int, int]]:
         """Tree edges as sorted (u, v) pairs with u < v."""
@@ -185,21 +209,6 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
     return v
 
 
-def _leaf_set(n: int, start: int, centers: list[int], ends: list[int],
-              added: list[int]) -> frozenset[int]:
-    """Leaves of a finished run. A non-root vertex is internal exactly when it
-    was a center; the root's children are exactly its first step's, so it is
-    a leaf when that step added one vertex."""
-    internal = bytearray(n)
-    for u in centers:
-        internal[u] = 1
-    if ends[0] == 1:
-        internal[start] = 0
-    # Filtering grows the set with the leaves alone: a set of all n vertices
-    # would need a table several times larger, fresh pages on every call.
-    return frozenset(filterfalse(internal.__getitem__, chain((start,), added)))
-
-
 def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, ExpansionTrace]:
     """Build a spanning tree of the connected simple graph g by greedy expansion.
 
@@ -211,7 +220,7 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     n = g.n
     start = pick_start(g, policy or _FIRST_ELIGIBLE)
     if n == 1:
-        return SpanningTree(start, (None,)), ExpansionTrace(start)
+        return SpanningTree.from_parent(start, (None,)), ExpansionTrace(start)
 
     adjacency = g.adjacency
     in_tree = bytearray(n)
@@ -301,7 +310,7 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     # read is a scan read that advanced ptr, except the one entry each W1
     # check peeks at without moving past it.
     touches = 2 * g.m + sum(ptr) + peeks
-    t = SpanningTree(start, tuple(parent), _leaf_set(n, start, centers, ends, added))
+    t = SpanningTree.from_parent(start, tuple(parent))
     trace = ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
                            tuple(added), touches)
     return t, trace
@@ -340,11 +349,6 @@ def verify_spanning_tree(g: Graph, t: SpanningTree) -> TreeCheck:
             return TreeCheck(False, "cycle")
         for y in path:
             state[y] = 2
-    tree_degree = [0] * n
-    for v, p in enumerate(t.parent):
-        if p is not None:
-            tree_degree[v] += 1
-            tree_degree[p] += 1
-    if t.leaf_set != frozenset(v for v in range(n) if tree_degree[v] == 1):
+    if t.leaf_set != SpanningTree.from_parent(t.root, t.parent).leaf_set:
         return TreeCheck(False, "leaf-set-mismatch")
     return TreeCheck(True)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from maxleaf import (CertificateError, ExpansionStep, ExpansionTrace, Graph,
                      InstanceSpec, LemmaReport, RankForest, SpanningTree,
                      assign_ranks, build_forest, certify, check_lemmas,
-                     compute_certificate, generate, parse, tree)
+                     compute_certificate, generate, parse, tree,
+                     verify_spanning_tree)
 
 from helpers import (connected_graphs, one_lemma_witness, reference_build_forest,
                      reference_check_lemmas, shuffled_edgelist, trace_from_steps,
@@ -101,10 +103,53 @@ def test_certificate_refuses_small_n():
     (5, ((0, 1, 2, 3, 4),), 2, "n - u_size = 5 exceeds 2*leaves + k - 2 = 3"),
 ])
 def test_compute_certificate_flags_each_broken_invariant(n, components, leaves, message):
-    star = SpanningTree(0, (None,) + (0,) * (n - 1), frozenset(range(1, leaves + 1)))
+    # A star for n - 1 leaves, a path for 2: each tree's leaf set is its own,
+    # so only the named invariant breaks.
+    parent = (None,) + ((0,) * (n - 1) if leaves == n - 1 else tuple(range(n - 1)))
+    t = SpanningTree.from_parent(0, parent)
+    assert len(t.leaf_set) == leaves
     forest = RankForest(components, (0,) * n)
     with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
-        compute_certificate(Graph.from_edges(n, []), star, forest)
+        compute_certificate(Graph.from_edges(n, []), t, forest)
+
+
+def test_certify_refuses_a_leaf_set_that_is_not_the_trees():
+    # Genuine parent links, but one leaf dropped from the leaf set and two
+    # internal vertices added: 41 claimed leaves against a true 40.
+    g = generate(InstanceSpec("random_connected", (60, 120), 3))
+    t, trace = tree(g)
+    internal = sorted(set(range(g.n)) - t.leaf_set)
+    forged = dataclasses.replace(
+        t, leaf_set=t.leaf_set - {min(t.leaf_set)} | set(internal[:2]))
+    assert (len(t.leaf_set), len(forged.leaf_set)) == (40, 41)
+    with pytest.raises(CertificateError,
+                       match="^leaf set of 41 vertices is not the tree's leaves$"):
+        certify(g, forged, trace)
+
+
+def test_certify_refuses_a_tree_its_trace_does_not_replay():
+    # Vertex 1 hangs from 0, not a neighbour but of the same rank as its
+    # true parent 26, so the rank forest keeps its shape. The forged tree
+    # carries its own 24 leaves, against the genuine tree's 23.
+    g = generate(InstanceSpec("random_connected", (40, 80), 0))
+    t, trace = tree(g)
+    rank = assign_ranks(g, trace)
+    assert t.parent[1] == 26 and 0 not in g.adjacency[1] and rank[0] == rank[26]
+    forged = SpanningTree.from_parent(t.root, t.parent[:1] + (0,) + t.parent[2:])
+    assert (len(t.leaf_set), len(forged.leaf_set)) == (23, 24)
+    assert verify_spanning_tree(g, forged).reason == "parent-edge-not-in-graph"
+    with pytest.raises(CertificateError,
+                       match="^tree gives vertex 1 the parent 0, its trace 26$"):
+        certify(g, forged, trace)
+
+
+def test_certify_refuses_a_root_or_size_its_trace_does_not_replay():
+    g = generate(InstanceSpec("cycle", (5,)))
+    t, trace = tree(g)
+    for forged in (dataclasses.replace(t, root=1), dataclasses.replace(t, parent=t.parent[:4]),
+                   dataclasses.replace(t, parent=(1,) + t.parent[1:])):
+        with pytest.raises(CertificateError, match="^tree is not the one its trace replays$"):
+            certify(g, forged, trace)
 
 
 def test_lemmas_vacuous_on_star():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from maxleaf import (DisconnectedGraphError, ExpansionStep, Graph,
-                     InstanceSpec, StartPolicy, generate, leaf_count, parse,
-                     pick_start, tightness, tree, verify_spanning_tree)
+                     InstanceSpec, SpanningTree, StartPolicy, generate, leaf_count,
+                     max_leaf_cds, max_leaf_exact, parse, pick_start, tightness, tree,
+                     verify_spanning_tree)
 
 from helpers import (atlas_connected_graphs, connected_graphs, reference_tree,
                      replay_trace, trace_from_steps, tree_degrees)
@@ -172,6 +173,58 @@ def test_leaf_set_matches_tree_degrees(g):
     degree = tree_degrees(t)
     assert t.leaf_set == frozenset(v for v in range(g.n) if degree[v] == 1)
     assert leaf_count(t) >= 2 or g.n <= 2
+
+
+def degree_one(t: SpanningTree) -> frozenset[int]:
+    degree = tree_degrees(t)
+    return frozenset(v for v, d in enumerate(degree) if d == 1)
+
+
+def assert_leaf_rule(t: SpanningTree) -> None:
+    assert SpanningTree.from_parent(t.root, t.parent).leaf_set == degree_one(t)
+    assert t.leaf_set == degree_one(t)
+
+
+def test_leaf_rule_on_degenerate_and_small_trees():
+    assert SpanningTree.from_parent(0, (None,)).leaf_set == frozenset()
+    assert SpanningTree.from_parent(0, (None, 0)).leaf_set == frozenset({0, 1})
+    assert SpanningTree.from_parent(1, (1, None)).leaf_set == frozenset({0, 1})
+    # A root with one child is a leaf, one with two is not.
+    assert SpanningTree.from_parent(0, (None, 0, 1)).leaf_set == frozenset({0, 2})
+    assert SpanningTree.from_parent(1, (1, None, 1)).leaf_set == frozenset({0, 2})
+
+
+@pytest.mark.parametrize("engine", ["exact", "cds"])
+def test_oracle_witness_rooted_at_a_leaf_counts_the_root(engine):
+    # The witnesses are rooted at 0, which here hangs from 1 alone.
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    witness = max_leaf_exact(g).witness if engine == "exact" else max_leaf_cds(g)[1]
+    assert witness.parent == (None, 0, 1, 1)
+    assert witness.leaf_set == frozenset({0, 2, 3})
+
+
+def test_leaf_rule_on_the_atlas():
+    for g in atlas_connected_graphs():
+        for policy in (StartPolicy.first_eligible(), StartPolicy.max_degree()):
+            assert_leaf_rule(tree(g, policy)[0])
+        assert_leaf_rule(max_leaf_exact(g, prune_bound=True).witness)
+        assert_leaf_rule(max_leaf_cds(g)[1])
+
+
+def test_leaf_rule_on_tight_search_draws():
+    rng = random.Random(24)
+    for _ in range(20000):
+        assert_leaf_rule(tree(tightness._random_instance(rng, 14))[0])
+
+
+def test_leaf_rule_on_random_and_benchmark_graphs():
+    for n in range(1, 60):
+        for seed in range(5):
+            m = min(n * (n - 1) // 2, n - 1 + seed * n // 2)
+            assert_leaf_rule(tree(generate(InstanceSpec("random_connected", (n, m), seed)))[0])
+    # The edge-bound and the step-bound graph of perfbench's solve_inmem.
+    for k, shape in enumerate([(16384, 65536), (32768, 36864)]):
+        assert_leaf_rule(tree(generate(InstanceSpec("random_connected", shape, 1 + k)))[0])
 
 
 def test_expansion_count_is_at_most_n_minus_1():
