@@ -17,8 +17,9 @@ so identical inputs give identical runs.
 
 The tree's leaves follow one rule, SpanningTree.from_parent's: a non-root
 vertex is a leaf when it is nobody's parent, and the root when it is the
-parent of exactly one vertex. tree(), the oracles' witnesses and
-verify_spanning_tree all take their leaves from it.
+parent of exactly one vertex. The oracles' witnesses and verify_spanning_tree
+take their leaves from from_parent, and tree() applies the same rule (_leaves)
+over its join order.
 
 The run is recorded flat: parallel tuples of step centers, case labels and
 cumulative end offsets into one tuple of added vertices. ExpansionStep
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from itertools import chain, filterfalse
 
 from .graph import Graph, is_connected
 
@@ -137,12 +138,7 @@ class SpanningTree:
     @classmethod
     def from_parent(cls, root: int, parent: tuple[int | None, ...]) -> SpanningTree:
         """The tree with these parent links and the leaves the rule gives."""
-        internal = set(parent)
-        # Toggling the root makes it internal with no child, a leaf with one.
-        if parent.count(root) < 2:
-            internal ^= {root}
-        return cls(root, parent, frozenset(filterfalse(internal.__contains__,
-                                                       range(len(parent)))))
+        return cls(root, parent, _leaves(root, parent, range(len(parent))))
 
     def edges(self) -> list[tuple[int, int]]:
         """Tree edges as sorted (u, v) pairs with u < v."""
@@ -207,6 +203,17 @@ def pick_start(g: Graph, policy: StartPolicy) -> int:
         raise DisconnectedGraphError(
             "no vertex of degree >= 2: graph is disconnected")
     return v
+
+
+def _leaves(root: int, parent: tuple[int | None, ...], vertices) -> frozenset[int]:
+    """from_parent's rule over `vertices`, every vertex once in any order.
+    tree() passes the graph's own vertex ints, so its leaf set makes no new
+    int objects: range() would allocate and free one per vertex per call."""
+    internal = set(parent)
+    # Toggling the root makes it internal with no child, a leaf with one.
+    if parent.count(root) < 2:
+        internal ^= {root}
+    return frozenset(filterfalse(internal.__contains__, vertices))
 
 
 def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, ExpansionTrace]:
@@ -310,7 +317,11 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
     # read is a scan read that advanced ptr, except the one entry each W1
     # check peeks at without moving past it.
     touches = 2 * g.m + sum(ptr) + peeks
-    t = SpanningTree.from_parent(start, tuple(parent))
+    # Free the scan state before the leaf rule builds its sets, so the peak
+    # memory of a call does not depend on where the allocator puts them.
+    del in_tree, cnt, ptr
+    parent = tuple(parent)
+    t = SpanningTree(start, parent, _leaves(start, parent, chain((start,), added)))
     trace = ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
                            tuple(added), touches)
     return t, trace
