@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solver import ExpansionTrace, SpanningTree, W2
+from .solver import ExpansionTrace, SpanningTree, W2, _leaves
 
 
 class CertificateError(ValueError):
@@ -109,12 +109,6 @@ class RankForest:
     components: tuple[tuple[int, ...], ...]
     f_degree: tuple[int, ...]
 
-    def singleton_count(self) -> int:
-        return sum(1 for comp in self.components if len(comp) == 1)
-
-    def big_component_count(self) -> int:
-        return sum(1 for comp in self.components if len(comp) >= 3)
-
 
 def build_forest(g: Graph, t: SpanningTree, rank: list[int]) -> RankForest:
     """Group the vertices into rank classes and count forest degrees.
@@ -182,21 +176,22 @@ def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate
     n = g.n
     if n < 3:
         raise ValueError(f"certificate needs n >= 3, got n={n}")
-    u_size = f.singleton_count()
-    k = f.big_component_count()
+    sizes = list(map(len, f.components))
+    u_size = sizes.count(1)
+    big = [s for s in sizes if s >= 3]
+    k = len(big)
     upper_bound = n - u_size - k + 1
     leaves = len(t.leaf_set)
     cert = Certificate(u_size, k, upper_bound, leaves)
 
-    if t.leaf_set != SpanningTree.from_parent(t.root, t.parent).leaf_set:
+    if t.leaf_set != _leaves(t.root, t.parent, range(n)):
         raise CertificateError(f"leaf set of {leaves} vertices is not the tree's leaves")
 
     if k < 1:
         raise CertificateError(f"expected k >= 1, got k={k}")
-    big_total = sum(len(c) for c in f.components if len(c) >= 3)
-    if n - u_size != big_total:
+    if n - u_size != sum(big):
         raise CertificateError(
-            f"n - u_size = {n - u_size} but big components hold {big_total} vertices")
+            f"n - u_size = {n - u_size} but big components hold {sum(big)} vertices")
     if upper_bound < leaves:
         raise CertificateError(
             f"upper_bound {upper_bound} below own leaf count {leaves}")

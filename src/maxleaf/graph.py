@@ -302,18 +302,42 @@ def parse(text: str, fmt: str = "edgelist") -> Graph:
     return _read(text, fmt, set())
 
 
+# serialize formats whole rows at a time, flushing once a block holds this
+# many edges, so no whole-graph edge list or id tuple exists.
+_WRITE_BLOCK = 4096
+
+
 def serialize(g: Graph, fmt: str = "edgelist") -> str:
-    """Serialize with edges sorted; parse(serialize(g)) reproduces the edge set."""
-    edges = g.edge_list()
-    ids = chain.from_iterable(edges)
+    """Serialize with edges sorted; parse(serialize(g)) reproduces the edge set.
+
+    Each block holds the u < v edges of whole rows in id order, so sorting
+    the block alone keeps the edges in global lexicographic order.
+    """
     if fmt == "edgelist":
-        header, line = f"{g.n} {g.m}\n", "%d %d\n"
+        pieces, line, base = [f"{g.n} {g.m}\n"], "%d %d\n", 0
     elif fmt == "dimacs":
-        header, line = f"p edge {g.n} {g.m}\n", "e %d %d\n"
-        ids = [x + 1 for x in ids]
+        pieces, line, base = [f"p edge {g.n} {g.m}\n"], "e %d %d\n", 1
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    return header + (line * len(edges)) % tuple(ids)
+    block = []
+    for u, nbrs in enumerate(g.adjacency):
+        for v in nbrs:
+            if u < v:
+                block.append((u, v))
+        if len(block) >= _WRITE_BLOCK:
+            pieces.append(_lines(block, line, base))
+            block = []
+    pieces.append(_lines(block, line, base))
+    return "".join(pieces)
+
+
+def _lines(block: list[tuple[int, int]], line: str, base: int) -> str:
+    """One block of serialize's edge lines, sorted, with ids shifted by base."""
+    block.sort()
+    ids = chain.from_iterable(block)
+    if base:
+        ids = [x + base for x in ids]
+    return (line * len(block)) % tuple(ids)
 
 
 def to_dot(g: Graph, tree_edges: Iterable[tuple[int, int]] | None = None) -> str:

@@ -17,9 +17,10 @@ so identical inputs give identical runs.
 
 The tree's leaves follow one rule, SpanningTree.from_parent's: a non-root
 vertex is a leaf when it is nobody's parent, and the root when it is the
-parent of exactly one vertex. The oracles' witnesses and verify_spanning_tree
-take their leaves from from_parent, and tree() applies the same rule (_leaves)
-over its join order.
+parent of exactly one vertex. The oracles' witnesses take their leaves from
+from_parent; tree() applies the same rule (_leaves) over its join order, and
+verify_spanning_tree and compute_certificate check a tree's leaf set against
+it without building a second tree.
 
 The run is recorded flat: parallel tuples of step centers, case labels and
 cumulative end offsets into one tuple of added vertices. ExpansionStep
@@ -360,6 +361,6 @@ def verify_spanning_tree(g: Graph, t: SpanningTree) -> TreeCheck:
             return TreeCheck(False, "cycle")
         for y in path:
             state[y] = 2
-    if t.leaf_set != SpanningTree.from_parent(t.root, t.parent).leaf_set:
+    if t.leaf_set != _leaves(t.root, t.parent, range(n)):
         return TreeCheck(False, "leaf-set-mismatch")
     return TreeCheck(True)

@@ -1,9 +1,10 @@
-"""Shared test helpers: a direct graph validator, a trace builder from
-hand-made steps, the reference solver and enumerator, an independent
-step-semantics replayer, the connected-dominating-set search before its
-start size, the heap-based Pruefer decoder, the instance sets of
-the acceptance campaigns, a lemma audit with one injected witness, a
-bytecode counter and hypothesis strategies for random connected graphs."""
+"""Shared test helpers: a direct graph validator, the one-shot reference
+writer, a trace builder from hand-made steps, the reference solver and
+enumerator, an independent step-semantics replayer, the
+connected-dominating-set search before its start size, the heap-based
+Pruefer decoder, the instance sets of the acceptance campaigns, a lemma
+audit with one injected witness, a bytecode counter and hypothesis
+strategies for random connected graphs."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import heapq
 import random
 import sys
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from hypothesis import strategies as st
@@ -51,6 +52,18 @@ def validate_graph(g: Graph) -> None:
                 raise ValueError(f"asymmetric edge {u}-{v}")
     if half_edges != 2 * g.m:
         raise ValueError("edge count inconsistent with adjacency")
+
+
+def reference_serialize(g: Graph, fmt: str = "edgelist") -> str:
+    """serialize as one whole-graph format: every edge line from one template."""
+    edges = g.edge_list()
+    ids = chain.from_iterable(edges)
+    if fmt == "edgelist":
+        header, line = f"{g.n} {g.m}\n", "%d %d\n"
+    else:
+        header, line = f"p edge {g.n} {g.m}\n", "e %d %d\n"
+        ids = [x + 1 for x in ids]
+    return header + (line * len(edges)) % tuple(ids)
 
 
 def trace_from_steps(start: int, steps: Iterable[ExpansionStep],

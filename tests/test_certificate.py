@@ -47,16 +47,16 @@ def test_cycle5_forest_components():
     t, trace = tree(g)
     forest = build_forest(g, t, assign_ranks(g, trace))
     assert forest.components == ((0, 1, 4), (2,), (3,))
-    assert forest.singleton_count() == 2
-    assert forest.big_component_count() == 1
+    assert [len(c) for c in forest.components].count(1) == 2
+    assert sum(len(c) >= 3 for c in forest.components) == 1
 
 
 def test_star_forest_single_component():
     g = generate(InstanceSpec("star", (5,)))
     t, trace, rank, forest = run_pipeline(g)
     assert len(forest.components) == 1
-    assert forest.singleton_count() == 0
-    assert forest.big_component_count() == 1
+    assert [len(c) for c in forest.components].count(1) == 0
+    assert sum(len(c) >= 3 for c in forest.components) == 1
 
 
 def test_single_vertex_forest_is_degenerate():
@@ -64,8 +64,8 @@ def test_single_vertex_forest_is_degenerate():
     t, trace = tree(g)
     forest = build_forest(g, t, assign_ranks(g, trace))
     assert forest.components == ((0,),)
-    assert forest.singleton_count() == 1
-    assert forest.big_component_count() == 0
+    assert [len(c) for c in forest.components].count(1) == 1
+    assert sum(len(c) >= 3 for c in forest.components) == 0
 
 
 def test_certificate_examples():
@@ -101,6 +101,11 @@ def test_certificate_refuses_small_n():
     (4, ((0, 1, 2),), 2, "n - u_size = 4 but big components hold 3 vertices"),
     (5, ((0, 1, 2), (3,), (4,)), 4, "upper_bound 3 below own leaf count 4"),
     (5, ((0, 1, 2, 3, 4),), 2, "n - u_size = 5 exceeds 2*leaves + k - 2 = 3"),
+    # Forests build_forest never returns: a class of 2 or an empty class is
+    # neither a singleton nor big.
+    (4, ((0, 1), (2,), (3,)), 2, "expected k >= 1, got k=0"),
+    (5, ((0, 1, 2), (3, 4)), 2, "n - u_size = 5 but big components hold 3 vertices"),
+    (4, ((0, 1, 2, 3), ()), 2, "n - u_size = 4 exceeds 2*leaves + k - 2 = 3"),
 ])
 def test_compute_certificate_flags_each_broken_invariant(n, components, leaves, message):
     # A star for n - 1 leaves, a path for 2: each tree's leaf set is its own,
@@ -289,7 +294,7 @@ def test_unique_ranks_are_the_singletons(g):
     counts = Counter(rank)
     unique = {v for v, r in enumerate(rank) if counts[r] == 1}
     assert unique_rank_vertices(forest) == unique
-    assert forest.singleton_count() == len(unique)
+    assert [len(c) for c in forest.components].count(1) == len(unique)
     assert {v for v, d in enumerate(forest.f_degree) if d == 0} == unique
 
 

@@ -1,4 +1,5 @@
 import functools
+import random
 import tracemalloc
 
 import networkx as nx
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 
 from maxleaf import (Graph, GraphFormatError, InstanceSpec, generate,
                      is_connected, parse, serialize, to_dot)
-from maxleaf.graph import _CHUNK, articulation_points
+from maxleaf.graph import _CHUNK, _WRITE_BLOCK, FORMATS, articulation_points
 
-from helpers import arbitrary_graphs, atlas_connected_graphs, validate_graph
+from helpers import (arbitrary_graphs, atlas_connected_graphs, reference_serialize,
+                     shuffled_edgelist, validate_graph)
 from parse_corpus import (CORPUS, DIMACS_CORPUS, MUTATION_SEEDS, check_mutations,
                           check_parity, check_serialized, missing_errors)
 
@@ -226,6 +228,16 @@ def test_bulk_parse_peak_memory_is_within_11x_the_text():
         assert peak <= 11 * len(text), (fmt, text[:20], peak / len(text))
 
 
+def test_serialize_peak_memory_is_within_3x_the_text():
+    # A whole-graph edge list, id tuple and format template peaked at about
+    # 9.6x the text; one block of rows at a time, at about 2.5x.
+    g = generate(InstanceSpec("random_connected", (16384, 65536), 1))
+    for fmt in FORMATS:
+        size = len(serialize(g, fmt))
+        peak = _traced_peak(serialize, g, fmt)
+        assert peak <= 3 * size, (fmt, peak / size)
+
+
 def test_bulk_gate_rejects_a_huge_header_before_allocating():
     # Both texts fail on their edge count, which parse() checks before it
     # allocates anything in proportion to the 2^24 declared vertices.
@@ -264,6 +276,37 @@ def test_serialize_triangle_dimacs_sorted():
 
 def test_serialize_single_vertex_edgelist():
     assert serialize(Graph.from_edges(1, [])) == "1 0\n"
+
+
+def _shuffled_rows_graph():
+    g = parse(shuffled_edgelist(generate(InstanceSpec("random_connected", (3000, 12000), 5)),
+                                random.Random(5)))
+    assert any(list(row) != sorted(row) for row in g.adjacency)
+    return [g]
+
+
+def _star_row_past_a_block():
+    g = generate(InstanceSpec("star", (10000,)))
+    assert g.degree(0) > _WRITE_BLOCK
+    return [g]
+
+
+SERIALIZE_CASES = {
+    "atlas": atlas_connected_graphs,
+    "random": lambda: [generate(InstanceSpec("random_connected", (n, m), seed))
+                       for seed, (n, m) in enumerate([(10, 20), (1000, 4095), (1000, 4096),
+                                                      (3000, 12000), (8000, 9000)])],
+    "star_row_past_a_block": _star_row_past_a_block,
+    "unsorted_rows": _shuffled_rows_graph,
+    "single_vertex": lambda: [generate(InstanceSpec("complete", (1,)))],
+}
+
+
+@pytest.mark.parametrize("case", SERIALIZE_CASES)
+def test_serialize_matches_the_one_shot_writer(case):
+    for g in SERIALIZE_CASES[case]():
+        for fmt in FORMATS:
+            assert serialize(g, fmt) == reference_serialize(g, fmt), (case, g.n, g.m, fmt)
 
 
 def test_round_trip_random_graphs():
