@@ -8,7 +8,7 @@ function. Reach the module with ``from maxleaf.generate import ...`` or
 """
 
 from .certificate import (Certificate, CertificateError, LemmaReport, RankForest,
-                          assign_ranks, build_forest, certify, check_lemmas,
+                          assign_ranks, audit, build_forest, certify, check_lemmas,
                           compute_certificate)
 from .generate import FAMILIES, InfeasibleSpecError, InstanceSpec, generate
 from .graph import (Graph, GraphFormatError, is_connected, parse, serialize,
@@ -22,7 +22,7 @@ from .tightness import TightInstance, TightSearchResult, tight_search
 
 __all__ = [
     "Certificate", "CertificateError", "LemmaReport", "RankForest",
-    "assign_ranks", "build_forest", "certify", "check_lemmas",
+    "assign_ranks", "audit", "build_forest", "certify", "check_lemmas",
     "compute_certificate",
     "FAMILIES", "InfeasibleSpecError", "InstanceSpec", "generate",
     "Graph", "GraphFormatError", "is_connected", "parse", "serialize", "to_dot",

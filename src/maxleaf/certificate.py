@@ -1,37 +1,46 @@
 """Machine-checkable quality certificate for a solver run.
 
-Replaying an expansion trace assigns every vertex a rank: W2 expansions
-propagate the center's rank to all added vertices, W1/W0 expansions give
-the single added vertex a fresh maximum. Deleting tree edges between
-differently ranked endpoints yields the rank forest F. Its edges never
-leave a rank class, so its components are the rank classes exactly when
-each class of s vertices holds s - 1 forest edges; build_forest groups the
-vertices by rank and checks that count. From F we read off
+certify proves, for every trace that obeys the expansion rules, that no
+spanning tree of the input has more than upper_bound leaves. Its checker
+is the replay, assign_ranks. It replays the trace onto g, keeping each
+vertex's count of outside neighbours as the solver does, and checks every
+step against the rules, with ties free:
 
-    u_size       -- vertices of unique rank (singleton components),
-    k            -- components with >= 3 vertices,
+    start  at n >= 3, the start has >= 2 neighbours;
+    W2     the centre has c >= 2 outside neighbours and the step adds all c;
+    W1/W0  no tree vertex has >= 2 outside neighbours, and the centre has
+           exactly one, v, which the step adds;
+    W1     v does not have exactly one outside neighbour;
+    W0     v has exactly one, and no W1 step is possible.
+
+W0's most-recent-first order is a tie-break and is not checked. The rules
+are for n >= 3; at n = 2, tree() labels its one step W0, and the replay
+takes it. The replay also assigns every vertex a rank: a W2 step puts the
+vertices it adds in its centre's rank class, a W1 or W0 step starts a new
+class with its one vertex. From the class sizes it counts,
+
+    u_size       -- vertices of unique rank (classes of one vertex),
+    k            -- classes of >= 3 vertices,
     upper_bound  -- n - u_size - k + 1,
 
 an upper bound on the leaf count of EVERY spanning tree of the input, and
-upper_bound <= 2 * leaves(T) - 1 gives the 2-approximation guarantee.
+upper_bound <= 2 * leaves(T) - 1 gives the 2-approximation guarantee
+(compute_certificate). certify also checks that t is the tree the trace
+replays, with the trace's start as its root and every other vertex a child
+of the centre of the step that added it, and that t's leaf set is the one
+SpanningTree.from_parent's rule gives. It raises CertificateError on any
+failed check, so a certificate it returns holds. Every correct run passes,
+so a violation is an implementation-bug detector, never data.
 
-The audit re-checks what it states: the trace replays onto g
-(assign_ranks), the tree t is the one the trace replays, with the trace's
-start as its root and every other vertex a child of the centre of the step
-that added it (certify), t's leaf set is the one SpanningTree.from_parent's
-rule gives (compute_certificate), each rank class is one forest component
-of the right shape (build_forest), the counts obey the bound's arithmetic
-(compute_certificate), and the four lemma validators find no witness
-(check_lemmas). certify gives the one verdict: it raises CertificateError
-on any failed check, a lemma witness included, so a certificate it returns
-has passed the whole audit. Every correct run passes, so a violation is an
-implementation-bug detector, never data.
-
-Since t is the trace's tree, ranks never fall along a tree edge inside
-certify. The layers called on their own with a (g, t, rank) triple do not
-check that order, rank[v] >= rank[parent[v]], and their checks do not imply
-the bound without it: at n = 6, 45 graph/tree/rank triples pass them all
-and still certify a false bound.
+The paper proves its structural lemmas for every run that obeys the rules.
+audit re-checks them on a replay's ranks, as an explicit layer that compare
+and the tests run and certify does not: deleting tree edges between
+differently ranked endpoints yields the rank forest F, whose components
+must be the rank classes with the shape the lemmas give (build_forest), and
+the four lemma validators must find no witness (check_lemmas). Called on
+their own with a (g, t, rank) triple that no replay produced, these layers
+do not imply the bound: at n = 6, 45 such triples pass them all and still
+certify a false bound.
 """
 
 from __future__ import annotations
@@ -39,22 +48,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solver import ExpansionTrace, SpanningTree, W2, _leaves
+from .solver import ExpansionTrace, SpanningTree, W0, W1, W2, _leaves
 
 
 class CertificateError(ValueError):
     """An invariant that holds for all genuine runs failed: a bug signal."""
 
 
-def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
-    """Replay a trace and return the per-vertex rank (>= 1 everywhere).
+def assign_ranks(g: Graph, trace: ExpansionTrace) -> tuple[list[int], list[int]]:
+    """Replay a trace, checking every step against the expansion rules.
 
-    Reads the flat layout directly. Raises CertificateError if the layout
-    is malformed or the trace is inconsistent with g.
+    Returns the per-vertex rank (>= 1 everywhere) and the rank class sizes,
+    sizes[r - 1] for rank r. Raises CertificateError if the layout is
+    malformed, the trace is inconsistent with g, or a step breaks a rule;
+    a broken rule's error names the step and the rule. O(n + m) on any
+    input.
     """
     n = g.n
-    if not 0 <= trace.start < n:
-        raise CertificateError(f"trace start {trace.start} out of range")
+    start = trace.start
+    if not 0 <= start < n:
+        raise CertificateError(f"trace start {start} out of range")
     centers, labels, ends, added = trace.centers, trace.labels, trace.ends, trace.added
     if not len(centers) == len(labels) == len(ends):
         raise CertificateError(f"trace has {len(centers)} centers, {len(labels)} "
@@ -62,39 +75,155 @@ def assign_ranks(g: Graph, trace: ExpansionTrace) -> list[int]:
     if (ends[-1] if ends else 0) != len(added):
         raise CertificateError(f"trace ends at {ends[-1] if ends else 0}, "
                                f"not at its {len(added)} added vertices")
+    adjacency = g.adjacency
+    # cnt[w] = number of neighbours of w outside the tree, as tree() keeps it
+    cnt = list(map(len, adjacency))
+    if cnt[start] < 2 and n >= 3:
+        raise CertificateError(f"trace starts at {start}, of degree {cnt[start]} < 2")
     rank = [0] * n
-    rank[trace.start] = 1
+    rank[start] = 1
+    sizes = [1]
     in_tree = bytearray(n)
-    in_tree[trace.start] = 1
-    max_rank = 1
+    in_tree[start] = 1
+    for w in adjacency[start]:
+        cnt[w] -= 1
+    # Counts only fall, so a tree vertex with >= 2 outside neighbours joined
+    # with >= 2: wide holds every such vertex not checked since. A W1 or W0
+    # step pops them all; one still at >= 2 breaks W2's priority.
+    wide = [start]
+    # A W1 candidate is a tree vertex x with one outside neighbour, y, where
+    # y does not have exactly one. suspects holds the vertices that joined
+    # with count 1 or left wide with count 1, unchecked since. A W0 step
+    # checks and drops every suspect, scanning x's row for y.
+    # A dropped x becomes a candidate again only when y's count falls from
+    # 1 to 0, at the join of y's other outside neighbour z. z joins after x
+    # was checked, with y outside, so z sits in wide or in suspects; and
+    # while x is a candidate y stays outside, so z keeps >= 2 outside
+    # neighbours or is a candidate itself. The next W0 step refuses at z.
+    # So no count that reaches 0 needs tracking, and each vertex is a
+    # suspect, and has its row scanned, at most once.
+    suspects: list[int] = []
     begin = 0
-    for u, label, end in zip(centers, labels, ends):
-        if not in_tree[u]:
-            raise CertificateError(f"trace expands at {u} before it joined the tree")
-        if end <= begin:
-            raise CertificateError(f"trace step at {u} adds no vertices")
-        if label == W2:
-            if end - begin < 2:
-                raise CertificateError(f"W2 step at {u} adds fewer than 2 vertices")
-            r = rank[u]
-        else:
-            if end - begin != 1:
-                raise CertificateError(f"{label} step at {u} adds {end - begin} vertices")
-            max_rank += 1
-            r = max_rank
-        # A one-vertex step checks the row itself; a set pays off only for more.
-        neighbors = g.adjacency[u] if end - begin == 1 else set(g.adjacency[u])
-        for v in added[begin:end]:
-            if v not in neighbors:
-                raise CertificateError(f"trace adds non-neighbor {v} at {u}")
-            if in_tree[v]:
-                raise CertificateError(f"trace adds vertex {v} twice")
-            in_tree[v] = 1
-            rank[v] = r
-        begin = end
-    if not all(in_tree):
+    try:
+        for u, label, end in zip(centers, labels, ends):
+            if not in_tree[u]:
+                raise CertificateError(f"trace expands at {u} before it joined the tree")
+            c = cnt[u]
+            if label == W2:
+                if c < 2 or end - begin != c:
+                    _refuse_step(adjacency, in_tree, cnt, u, label, added[begin:end])
+                r = rank[u]
+                sizes[r - 1] += c
+            else:
+                if c != 1 or end - begin != 1:
+                    _refuse_step(adjacency, in_tree, cnt, u, label, added[begin:end])
+                while wide:
+                    x = wide.pop()
+                    if cnt[x] >= 2:
+                        _refuse(adjacency, in_tree, u, added[begin:end], f"{label} step "
+                                f"at {u} while {x} has {cnt[x]} outside neighbours")
+                    if cnt[x]:
+                        suspects.append(x)
+                v = added[begin]
+                if label == W1:
+                    if cnt[v] == 1:
+                        _refuse(adjacency, in_tree, u, (v,),
+                                f"W1 step at {u} adds {v}, which has one outside neighbour")
+                elif label == W0 and cnt[v] == 1:
+                    while suspects:
+                        x = suspects.pop()
+                        if cnt[x] == 1:
+                            for y in adjacency[x]:
+                                if not in_tree[y]:
+                                    break
+                            if cnt[y] != 1:
+                                _refuse(adjacency, in_tree, u, (v,), f"W0 step at {u} while "
+                                        f"W1 could expand at {x}, adding {y}")
+                # The rules are for n >= 3: at n = 2, tree() labels its one
+                # step W0.
+                elif label != W0 or n > 2:
+                    _refuse(adjacency, in_tree, u, (v,), f"W0 step at {u} adds {v}, which has "
+                            f"{cnt[v]} outside neighbours" if label == W0 else
+                            f"step at {u} has label {label!r}, not {W2}, {W1} or {W0}")
+                sizes.append(1)
+                r = len(sizes)
+            for v in added[begin:end]:
+                if in_tree[v]:
+                    step = added[begin:end]
+                    _refuse(adjacency, in_tree, u, step, "", step.index(v))
+                in_tree[v] = 1
+                rank[v] = r
+                for w in adjacency[v]:
+                    cnt[w] -= 1
+                c = cnt[v]
+                if c >= 2:
+                    wide.append(v)
+                elif c:
+                    suspects.append(v)
+            # The step added as many new vertices as u had outside neighbours,
+            # so u has none left exactly when each was its neighbour.
+            if cnt[u]:
+                _refuse(adjacency, in_tree, u, added[begin:end], "", end - begin)
+            begin = end
+    except IndexError:
+        # Only an id >= n indexes past the replay's lists.
+        _refuse_ids(n, centers, ends, added)
+        raise
+
+    # Every added vertex is new, so the trace spans when it adds n - 1. An
+    # added id v < 0 stands for v + n in the lists; the sum tells, since the
+    # start and the added vertices hold every slot once.
+    if len(added) != n - 1:
         raise CertificateError("trace does not span all vertices")
-    return rank
+    if sum(added) + start != n * (n - 1) // 2:
+        _refuse_ids(n, centers, ends, added)
+    return rank, sizes
+
+
+# The replay's error path names the culprit. At a faulty step it looks at
+# the step's size, then at each vertex the step adds, then at the rule, so
+# a step that adds a non-neighbour or a vertex twice is named for that.
+
+def _refuse_ids(n: int, centers, ends, added):
+    begin = 0
+    for u, end in zip(centers, ends):
+        if not 0 <= u < n:
+            raise CertificateError(f"trace expands at {u} before it joined the tree")
+        for v in added[begin:end]:
+            if not 0 <= v < n:
+                raise CertificateError(f"trace adds non-neighbor {v} at {u}")
+        begin = end
+
+
+def _refuse(adjacency, in_tree, u: int, step, rule: str, joined: int = 0):
+    """Raise for the first vertex of a step at u that is not u's neighbour
+    or is added twice, or else for the rule. The step itself joined its
+    first `joined` vertices."""
+    row = adjacency[u]
+    seen = set()
+    for i, x in enumerate(step):
+        if x not in row:
+            raise CertificateError(f"trace adds non-neighbor {x} at {u}")
+        if x in seen or in_tree[x] and i >= joined:
+            raise CertificateError(f"trace adds vertex {x} twice")
+        seen.add(x)
+    raise CertificateError(rule)
+
+
+def _refuse_step(adjacency, in_tree, cnt, u: int, label: str, step):
+    k = len(step)
+    if k == 0:
+        raise CertificateError(f"trace step at {u} adds no vertices")
+    if label == W2 and k < 2:
+        raise CertificateError(f"W2 step at {u} adds fewer than 2 vertices")
+    if label != W2 and k != 1:
+        raise CertificateError(f"{label} step at {u} adds {k} vertices")
+    # Past the vertex checks, the step adds k distinct outside neighbours of
+    # u, so u has more than k: a W2 step misses some, and a W1 or W0 step
+    # is at a vertex W2 could expand.
+    _refuse(adjacency, in_tree, u, step, f"W2 step at {u} adds {k} of its {cnt[u]} "
+            f"outside neighbours" if label == W2 else
+            f"{label} step at {u} while {u} has {cnt[u]} outside neighbours")
 
 
 @dataclass(frozen=True)
@@ -171,27 +300,26 @@ class Certificate:
         return self.upper_bound / self.leaf_count
 
 
-def compute_certificate(g: Graph, t: SpanningTree, f: RankForest) -> Certificate:
-    """Derive (u_size, k, upper_bound, leaf_count) and check its invariants."""
+def compute_certificate(g: Graph, t: SpanningTree, sizes: list[int]) -> Certificate:
+    """Derive (u_size, k, upper_bound, leaf_count) from the replay's rank
+    class sizes, and check t's leaves and the bound's arithmetic."""
     n = g.n
     if n < 3:
         raise ValueError(f"certificate needs n >= 3, got n={n}")
-    sizes = list(map(len, f.components))
     u_size = sizes.count(1)
-    big = [s for s in sizes if s >= 3]
-    k = len(big)
+    # A class starts with one vertex and a W2 step adds >= 2 to it, so no
+    # class has exactly 2 vertices: every class that is not a singleton is
+    # big. So n - u_size is the big classes' total, and k >= 1 needs no
+    # check of its own: a tree on n >= 3 vertices has >= 2 leaves, while
+    # k = 0 would make every class a singleton, upper_bound = 1, and fail
+    # the check below.
+    k = len(sizes) - u_size
     upper_bound = n - u_size - k + 1
     leaves = len(t.leaf_set)
     cert = Certificate(u_size, k, upper_bound, leaves)
 
     if t.leaf_set != _leaves(t.root, t.parent, range(n)):
         raise CertificateError(f"leaf set of {leaves} vertices is not the tree's leaves")
-
-    if k < 1:
-        raise CertificateError(f"expected k >= 1, got k={k}")
-    if n - u_size != sum(big):
-        raise CertificateError(
-            f"n - u_size = {n - u_size} but big components hold {sum(big)} vertices")
     if upper_bound < leaves:
         raise CertificateError(
             f"upper_bound {upper_bound} below own leaf count {leaves}")
@@ -296,14 +424,14 @@ def check_lemmas(g: Graph, rank: list[int], f: RankForest) -> LemmaReport:
                        tuple(branch_rank), tuple(unique_over_leaf))
 
 
-def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certificate, LemmaReport]:
-    """Full pipeline: ranks, the tree against its trace, forest, certificate,
-    lemma checks.
+def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certificate, list[int]]:
+    """The certificate of a run: the rule-checked replay, the tree against
+    its trace, and the bound from the replay's class sizes.
 
-    Raises CertificateError on any failed check, lemma witnesses included,
-    so the report it returns has always passed.
+    Returns the certificate and the replay's ranks, which audit takes.
+    Raises ValueError when n < 3, and CertificateError on any failed check.
     """
-    rank = assign_ranks(g, trace)
+    rank, sizes = assign_ranks(g, trace)
     # The replayed trace spans g once, and a step at u added its vertices as
     # u's children, so it fixes every parent link; compute_certificate then
     # checks the leaves against those links.
@@ -318,9 +446,17 @@ def certify(g: Graph, t: SpanningTree, trace: ExpansionTrace) -> tuple[Certifica
                 raise CertificateError(f"tree gives vertex {v} the parent {parent[v]}, "
                                        f"its trace {u}")
         begin = end
-    forest = build_forest(g, t, rank)
-    cert = compute_certificate(g, t, forest)
-    report = check_lemmas(g, rank, forest)
+    return compute_certificate(g, t, sizes), rank
+
+
+def audit(g: Graph, t: SpanningTree, rank: list[int]) -> LemmaReport:
+    """The forest and lemma audit of a replay's ranks, run by compare and
+    the tests, not by certify.
+
+    Raises CertificateError on a forest fault or a lemma witness, so the
+    report it returns has always passed.
+    """
+    report = check_lemmas(g, rank, build_forest(g, t, rank))
     if not report.passed:
         raise CertificateError(f"lemma audit failed, witness counts {report.witness_counts()}")
-    return cert, report
+    return report

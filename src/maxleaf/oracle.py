@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .certificate import Certificate, LemmaReport, certify
+from .certificate import Certificate, LemmaReport, audit, certify
 from .graph import Graph, articulation_points, is_connected
 from .solver import (DisconnectedGraphError, SpanningTree, StartPolicy,
                      leaf_count, tree)
@@ -311,13 +311,15 @@ class CompareResult:
 
 def compare(g: Graph, policy: StartPolicy | None = None,
             budget: int = DEFAULT_BUDGET) -> CompareResult:
-    """Run the greedy solver, the certificate pipeline and the exact oracle.
+    """Run the greedy solver, the certificate, its audit and the exact oracle.
 
     bound_ok checks opt <= 2*alg - 1 (the approximation guarantee),
     certificate_ok checks opt <= upper_bound (soundness of the bound).
-    Both checks are skipped in the degenerate regime n < 3. A failed
-    certificate audit, lemma witnesses included, raises CertificateError
-    from certify before the oracle runs.
+    Both checks are skipped in the degenerate regime n < 3. certify checks
+    the run's trace against the expansion rules; audit then runs the
+    forest and lemma checks on its ranks, and lemmas is the report, which
+    has always passed. A failed check of either raises CertificateError
+    before the oracle runs.
 
     The oracle runs with prune_bound=True: only the optimum is read here,
     not the tree count. budget therefore caps the trees the pruned search
@@ -327,7 +329,8 @@ def compare(g: Graph, policy: StartPolicy | None = None,
     alg = leaf_count(t)
     cert = report = None
     if g.n >= 3:
-        cert, report = certify(g, t, trace)
+        cert, rank = certify(g, t, trace)
+        report = audit(g, t, rank)
     result = max_leaf_exact(g, budget=budget, prune_bound=True)
     opt = result.opt_leaves
     ratio = opt / alg if alg else 1.0

@@ -299,6 +299,15 @@ def tree(g: Graph, policy: StartPolicy | None = None) -> tuple[SpanningTree, Exp
                 peeks += 1
                 # v = au[i] joined next would itself have exactly one outside
                 # neighbor: defer u to the depth-first stack instead.
+                # u cannot become a W1 candidate while it waits there, so a
+                # W0 step never runs while a W1 step is possible. Only the
+                # join of v's one other outside neighbor, x, can drop v's
+                # count to 0, and x joins the order after this read
+                # position. w0 is read only once head and then w1 have read
+                # x. If v is still outside then, it is x's outside
+                # neighbor: W2 at x adds it, or, when it is x's only one,
+                # its count is 0 and W1 at x adds it. So v joins, and u's
+                # count falls to 0, before the next W0 step.
                 if cnt[au[i]] == 1:
                     w0.append(u)
                     continue

@@ -28,8 +28,10 @@ budget, and confirmations there always finish. Trials with larger n are
 solved exactly too, however many spanning trees they have; the CDS search
 grows exponentially in the number of non-cut vertices instead.
 
-Every trial is certified: certify raises CertificateError on any failed
-audit check, lemma witnesses included.
+Every trial is certified: certify raises CertificateError when the run's
+trace breaks an expansion rule or any other check of the certificate
+fails. The forest and lemma audit, which those rules imply, is not run per
+trial; compare and the tests run it.
 
 Deterministic for a fixed (n_max, trials, seed): reruns return the same
 instances.

@@ -2,13 +2,15 @@
 writer, a trace builder from hand-made steps, the reference solver and
 enumerator, an independent step-semantics replayer, the
 connected-dominating-set search before its start size, the heap-based
-Pruefer decoder, the instance sets of the acceptance campaigns, a lemma
-audit with one injected witness, a bytecode counter and hypothesis
+Pruefer decoder, the instance sets of the acceptance campaigns, an
+enumerator of every run that obeys (or breaks one of) the expansion rules,
+a lemma audit with one injected witness, a bytecode counter and hypothesis
 strategies for random connected graphs."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import random
 import sys
@@ -77,6 +79,18 @@ def trace_from_steps(start: int, steps: Iterable[ExpansionStep],
         ends.append(len(added))
     return ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
                           tuple(added), touches)
+
+
+def hand_run(n: int, start: int, steps: Iterable[tuple[int, str, tuple[int, ...]]]
+             ) -> tuple[SpanningTree, ExpansionTrace]:
+    """A hand-built run: its trace and the tree that trace replays, so
+    certify can refuse it only for the rules it breaks."""
+    trace = trace_from_steps(start, (ExpansionStep(*step) for step in steps))
+    parent: list[int | None] = [None] * n
+    for step in trace.steps:
+        for v in step.added:
+            parent[v] = step.center
+    return SpanningTree.from_parent(start, tuple(parent)), trace
 
 
 def _finish_tree(n: int, root: int, parent: list[int | None]) -> SpanningTree:
@@ -431,6 +445,11 @@ def reference_uniform_random_tree(n: int, rng: random.Random) -> list[tuple[int,
 
 def atlas_connected_graphs() -> list[Graph]:
     """Every connected graph on 2..7 vertices up to isomorphism (995 graphs)."""
+    return list(_atlas())
+
+
+@functools.cache
+def _atlas() -> tuple[Graph, ...]:
     import networkx as nx
     from networkx.generators.atlas import graph_atlas_g
 
@@ -442,7 +461,91 @@ def atlas_connected_graphs() -> list[Graph]:
         relabel = {v: i for i, v in enumerate(sorted(ag.nodes()))}
         edges = sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in ag.edges())
         graphs.append(Graph.from_edges(n, edges))
-    return graphs
+    return tuple(graphs)
+
+
+RELAXATIONS = ("w1-before-w0", "w2-priority", "w2-partial")
+
+
+def rule_runs(g: Graph):
+    """Every run on g that obeys the expansion rules, ties free, from every
+    start of degree >= 2; and every run that breaks one rule once, as
+    (tree, trace, broken), broken naming one of RELAXATIONS or None.
+
+    The rules are certificate.assign_ranks's, recomputed from the tree set
+    at every step. A run breaks them with one step: a W0 step while a W1
+    step is possible (w1-before-w0), a W1 or W0 step while a W2 step is
+    possible (w2-priority), or a W2 step that leaves out its centre's last
+    outside neighbour (w2-partial). Every such step, from every state a run
+    that obeys the rules reaches, is taken once, and the run then follows
+    the rules, taking the first step they allow.
+
+    Memoised on the state (tree set, parents, ranks and the rule broken):
+    runs whose prefixes reach the same state share one continuation.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    full = (1 << n) - 1
+    seen = set()
+    centers, labels, ends, added = [], [], [], []
+
+    def moves(in_t, cnt):
+        outside = {x: [y for y in adjacency[x] if not in_t >> y & 1]
+                   for x in range(n) if in_t >> x & 1 and cnt[x]}
+        w2 = [(x, W2, tuple(ys)) for x, ys in outside.items() if len(ys) >= 2]
+        ones = [(x, ys[0]) for x, ys in outside.items() if len(ys) == 1]
+        w1 = [(x, W1, (y,)) for x, y in ones if cnt[y] != 1]
+        w0 = [(x, W0, (y,)) for x, y in ones if cnt[y] == 1]
+        broken = {"w1-before-w0": w0 if w1 and not w2 else [],
+                  "w2-priority": (w1 or w0) if w2 else [],
+                  "w2-partial": [(x, W2, ys[:-1]) for x, _, ys in w2]}
+        return w2 or w1 or w0, broken
+
+    def step(start, in_t, parent, rank, cnt, broken, move):
+        x, label, ys = move
+        r = rank[x] if label == W2 else max(rank) + 1
+        parent, rank, cnt = list(parent), list(rank), list(cnt)
+        for y in ys:
+            parent[y], rank[y] = x, r
+            in_t |= 1 << y
+            for w in adjacency[y]:
+                cnt[w] -= 1
+        centers.append(x)
+        labels.append(label)
+        added.extend(ys)
+        ends.append(len(added))
+        yield from grow(start, in_t, tuple(parent), tuple(rank), tuple(cnt), broken)
+        centers.pop()
+        labels.pop()
+        ends.pop()
+        del added[-len(ys):]
+
+    def grow(start, in_t, parent, rank, cnt, broken):
+        key = (in_t, parent, rank, broken)
+        if key in seen:
+            return
+        seen.add(key)
+        if in_t == full:
+            yield (SpanningTree.from_parent(start, parent),
+                   ExpansionTrace(start, tuple(centers), tuple(labels), tuple(ends),
+                                  tuple(added)), broken)
+            return
+        allowed, breaking = moves(in_t, cnt)
+        for move in allowed[:1] if broken else allowed:
+            yield from step(start, in_t, parent, rank, cnt, broken, move)
+        if not broken:
+            for rule, ms in breaking.items():
+                for move in ms:
+                    yield from step(start, in_t, parent, rank, cnt, rule, move)
+
+    for start in range(n):
+        if len(adjacency[start]) >= 2:
+            rank = [0] * n
+            rank[start] = 1
+            cnt = list(map(len, adjacency))
+            for w in adjacency[start]:
+                cnt[w] -= 1
+            yield from grow(start, 1 << start, (None,) * n, tuple(rank), tuple(cnt), None)
 
 
 CAMPAIGN_SEED = 0xA11CE

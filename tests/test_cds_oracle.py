@@ -105,7 +105,7 @@ def test_guarantees_beyond_the_enumerators_reach():
         assert leaf_count(witness) == opt
         t, trace = tree(g)
         alg = leaf_count(t)
-        cert, _report = certify(g, t, trace)
+        cert, _rank = certify(g, t, trace)
         assert opt <= 2 * alg - 1, g.edge_list()
         assert opt <= cert.upper_bound, g.edge_list()
         assert opt <= leaf_budget_bound(g), g.edge_list()

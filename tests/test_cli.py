@@ -3,13 +3,18 @@ import re
 
 import pytest
 
-from maxleaf import (ExpansionTrace, InstanceSpec, RankForest, generate, max_leaf_exact,
+from maxleaf import (ExpansionTrace, InstanceSpec, certificate, generate, max_leaf_exact,
                      parse, serialize, tree)
 from maxleaf.cli import main, parse_gen_spec
 
-from helpers import one_lemma_witness
+from helpers import hand_run, one_lemma_witness
 
 LEMMA_FAILURE = "certificate violation: lemma audit failed, witness counts (0, 0, 1, 0)\n"
+# A run on star:5 whose ranks the lemma audit finds a witness in: its W2
+# step leaves out the last leaf, which a W1 step adds next. The replay
+# refuses it by the rules, in every command, before any audit.
+STAR5_LEMMA_FAULT = hand_run(5, 0, [(0, "W2", (1, 2, 3)), (0, "W1", (4,))])
+RULE_FAILURE = "certificate violation: W2 step at 0 adds 3 of its 4 outside neighbours\n"
 
 
 def run_cli(capsys, *argv):
@@ -321,8 +326,8 @@ def _inflated_optimum(g, **kwargs):
 
 
 @pytest.mark.parametrize("name, fake, out, err", [
-    # One lemma witness: opt <= upper_bound still holds, but certify raises
-    # before compare prints anything.
+    # One lemma witness: opt <= upper_bound still holds, but compare's audit
+    # raises before compare prints anything.
     ("check_lemmas", one_lemma_witness, "", LEMMA_FAILURE),
     # opt = 6 is within 2*alg - 1 = 7 but above the certified bound of 5.
     ("max_leaf_exact", _inflated_optimum, "alg=4 opt=6 ratio=1.5000 bound_ok=true\n",
@@ -336,9 +341,13 @@ def test_compare_exits_4_on_a_failed_certificate_check(capsys, monkeypatch, name
     assert run_cli(capsys, "compare", "--gen", "star:5") == (4, out, err)
 
 
+def _star5_lemma_fault(g, policy=None):
+    return STAR5_LEMMA_FAULT
+
+
 def test_certify_exits_4_on_a_failed_lemma_audit(capsys, monkeypatch):
-    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
-    assert run_cli(capsys, "certify", "--gen", "star:5") == (4, "", LEMMA_FAILURE)
+    monkeypatch.setattr("maxleaf.cli.tree", _star5_lemma_fault)
+    assert run_cli(capsys, "certify", "--gen", "star:5") == (4, "", RULE_FAILURE)
 
 
 def _tree_adding_start_twice(g, policy=None):
@@ -367,28 +376,35 @@ def test_a_trace_that_fails_to_replay_exits_4(tmp_path, capsys, monkeypatch, arg
     assert re.fullmatch(r"certificate violation: trace adds vertex \d+ twice\n", err)
 
 
-def _alternating_ranks(g, trace):
-    """Ranks 1, 2, 1, 2, ...: on star:5 the class (1, 3) holds no forest edge."""
-    return [1 + v % 2 for v in range(g.n)]
+_assign_ranks = certificate.assign_ranks
 
 
-def _singleton_forest(g, t, rank):
-    """A forest of singletons only: no big component, so k = 0."""
-    return RankForest(tuple((v,) for v in range(g.n)), (0,) * g.n)
+def _singleton_classes(g, trace):
+    """The replay's ranks, with every rank class counted as a singleton."""
+    rank, _ = _assign_ranks(g, trace)
+    return rank, [1] * g.n
 
 
-# One fault per audit layer, as (module, name, fake) patches, and the one
-# stderr line it must give from every command.
+def _runs(forged):
+    """Patch tree in every command to return this hand-built run on star:5."""
+    return [(m, "tree", lambda g, policy=None: forged) for m in ("cli", "oracle", "tightness")]
+
+
+# Faults certify refuses, as (module, name, fake) patches, and the one
+# stderr line each must give from every command. lemma is a run whose ranks
+# the lemma audit finds a witness in, which the replay's rules refuse first.
 AUDIT_FAULTS = [
     pytest.param([(m, "tree", _tree_adding_start_twice) for m in ("cli", "oracle", "tightness")],
                  "certificate violation: trace adds vertex 0 twice\n", id="replay"),
-    pytest.param([("certificate", "assign_ranks", _alternating_ranks)],
-                 "certificate violation: rank class (1, 3) holds 0 forest edges, not 1: "
-                 "it is not one component\n", id="forest"),
-    pytest.param([("certificate", "build_forest", _singleton_forest)],
-                 "certificate violation: expected k >= 1, got k=0\n", id="arithmetic"),
-    pytest.param([("certificate", "check_lemmas", one_lemma_witness)], LEMMA_FAILURE,
-                 id="lemma"),
+    pytest.param(_runs(hand_run(5, 1, [(1, "W1", (0,)), (0, "W2", (2, 3, 4))])),
+                 "certificate violation: trace starts at 1, of degree 1 < 2\n", id="start"),
+    pytest.param(_runs(hand_run(5, 0, [(0, "W1", (1,)), (0, "W2", (2, 3, 4))])),
+                 "certificate violation: W1 step at 0 while 0 has 4 outside neighbours\n",
+                 id="w2-priority"),
+    pytest.param([("certificate", "assign_ranks", _singleton_classes)],
+                 "certificate violation: upper_bound 1 below own leaf count 4\n",
+                 id="arithmetic"),
+    pytest.param(_runs(STAR5_LEMMA_FAULT), RULE_FAILURE, id="lemma"),
 ]
 
 
@@ -400,14 +416,35 @@ AUDIT_FAULTS = [
 @pytest.mark.parametrize("patches, err", AUDIT_FAULTS)
 def test_every_audit_failure_gives_one_verdict(tmp_path, capsys, monkeypatch, patches, err,
                                                argv):
-    # Every trial of tight-search is star:5 too, so each command audits the
-    # same run.
+    # Every trial of tight-search is star:5 too, so each command certifies
+    # the same run.
     star = generate(InstanceSpec("star", (5,)))
     monkeypatch.setattr("maxleaf.tightness._random_instance", lambda rng, n_max: star)
     for module, name, fake in patches:
         monkeypatch.setattr(f"maxleaf.{module}.{name}", fake)
     argv = [a.format(out=tmp_path / "t.edgelist") for a in argv]
     assert run_cli(capsys, *argv) == (4, "", err)
+
+
+def _alternating_ranks(g, trace):
+    """The replay's class sizes with ranks 1, 2, 1, 2, ...: on star:5 the
+    class (1, 3) holds no forest edge."""
+    _, sizes = _assign_ranks(g, trace)
+    return [1 + v % 2 for v in range(g.n)], sizes
+
+
+# compare runs the forest and lemma audit on certify's ranks, so a fault in
+# either still exits 4 there.
+@pytest.mark.parametrize("name, fake, err", [
+    pytest.param("assign_ranks", _alternating_ranks,
+                 "certificate violation: rank class (1, 3) holds 0 forest edges, not 1: "
+                 "it is not one component\n", id="forest"),
+    pytest.param("check_lemmas", one_lemma_witness, LEMMA_FAILURE, id="lemma"),
+])
+def test_compare_runs_the_audit(capsys, monkeypatch, name, fake, err):
+    monkeypatch.setattr(f"maxleaf.certificate.{name}", fake)
+    assert run_cli(capsys, "compare", "--gen", "star:5") == (4, "", err)
+    assert run_cli(capsys, "certify", "--gen", "star:5")[0] == 0
 
 
 def test_oracle_command(capsys):
@@ -601,9 +638,11 @@ def test_unreadable_file_exit_1(capsys):
 
 
 def test_failed_lemma_audit_in_tight_search_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
+    star = generate(InstanceSpec("star", (5,)))
+    monkeypatch.setattr("maxleaf.tightness._random_instance", lambda rng, n_max: star)
+    monkeypatch.setattr("maxleaf.tightness.tree", _star5_lemma_fault)
     assert run_cli(capsys, "tight-search", "--n-max", "8", "--trials", "20",
-                   "--out", str(tmp_path / "t.edgelist")) == (4, "", LEMMA_FAILURE)
+                   "--out", str(tmp_path / "t.edgelist")) == (4, "", RULE_FAILURE)
 
 
 def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):

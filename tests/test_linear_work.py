@@ -12,8 +12,8 @@ Paths and complete graphs fall outside the other shapes' per-layer window,
 so they carry constants and floors of their own. On a path n + m is about
 2m and per-vertex work weighs double: tree reads up to 110.0 bytecodes per
 (n + m) against the common 64. On complete graphs parse reads up to 24.9
-against 24, and the layers that read only the tree or the trace, whose
-size is n, not m, read 0.2 to 2.5 per (n + m), below the n + m floor.
+against 24, and the layers that read only the tree, whose size is n, not
+m, read 0.2 to 2.5 per (n + m), below the n + m floor.
 """
 
 import pytest
@@ -31,29 +31,31 @@ MAX_RUNG_RATIO = 2.2
 # star and grid shapes on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 when
 # each constant was set: serialize 19.2, parse of canonical edgelist text
 # 22.8 (the fast route), parse of DIMACS text 141.2 (the per-line route),
-# tree 53.2, assign_ranks 15.2, build_forest 25.5, check_lemmas 21.5,
-# certify 55.1, articulation_points 49.0, leaf_budget_bound 55.9 and
-# verify_spanning_tree 58.5. parse keeps the 24 set 20% above its 19.5 from
-# before Graph.from_edges interned its ids. The constants stay where counts
-# moved since: tree reads up to 52.0, certify 59.7 (it checks the tree
-# against its trace) and verify_spanning_tree 39.5 (its leaf rule runs in C).
+# tree 53.2, build_forest 25.5, check_lemmas 21.5, articulation_points
+# 49.0, leaf_budget_bound 55.9 and verify_spanning_tree 58.5. parse keeps
+# the 24 set 20% above its 19.5 from before Graph.from_edges interned its
+# ids. assign_ranks 44.0 and certify 49.4 were set when the replay began
+# to check the rules with outside-neighbour counts, as tree() keeps them,
+# and certify stopped running the forest and lemma audit. The other
+# constants stay where counts moved since: tree reads up to 52.0 and
+# verify_spanning_tree 39.5 (its leaf rule runs in C).
 PER_ELEMENT = {"serialize": 23, "parse": 24, "parse_dimacs": 170, "tree": 64,
-               "assign_ranks": 19, "build_forest": 31, "check_lemmas": 26, "certify": 66,
+               "assign_ranks": 53, "build_forest": 31, "check_lemmas": 26, "certify": 60,
                "articulation_points": 59, "leaf_budget_bound": 68,
                "verify_spanning_tree": 71}
 # Constants of their own where a shape leaves that window, about 20% above
 # the largest seen on the same four Pythons. On a path: tree 110.0,
-# assign_ranks 35.0, build_forest 36.5, check_lemmas 49.5 and certify 148.1.
+# assign_ranks 89.5, build_forest 36.5, check_lemmas 49.5 and certify 99.0.
 # On complete graphs: parse 24.9 and parse of DIMACS text 171.3.
 SHAPE_PER_ELEMENT = {
-    "path": {"tree": 132, "assign_ranks": 42, "build_forest": 44, "check_lemmas": 59,
-             "certify": 178},
+    "path": {"tree": 132, "assign_ranks": 108, "build_forest": 44, "check_lemmas": 59,
+             "certify": 119},
     "complete": {"parse": 30, "parse_dimacs": 206},
 }
-# On complete graphs these layers read the tree or the trace, n - 1 edges,
-# not the graph's m, so their floor is n: at the least they read 19.6, 44.4
-# and 69.5 bytecodes per vertex.
-TREE_SIZED = {"assign_ranks", "build_forest", "verify_spanning_tree"}
+# On complete graphs these layers read the tree, n - 1 edges, not the
+# graph's m, so their floor is n: at the least they read 44.4 and 69.5
+# bytecodes per vertex. assign_ranks reads every row, as tree() does.
+TREE_SIZED = {"build_forest", "verify_spanning_tree"}
 
 
 def _graph(shape, k):
@@ -73,7 +75,7 @@ def _graph(shape, k):
 
 def _layer_counts(g):
     t, trace = tree(g)
-    rank = assign_ranks(g, trace)
+    rank, _ = assign_ranks(g, trace)
     forest = build_forest(g, t, rank)
     return {"serialize": bytecodes(serialize, g),
             "parse": bytecodes(parse, serialize(g)),

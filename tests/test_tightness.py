@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from maxleaf import (CertificateError, Graph, OracleDisagreementError, StartPolicy,
-                     certify, compare, leaf_count, max_leaf_cds, max_leaf_exact,
-                     tight_search, tightness, tree, verify_spanning_tree)
+from maxleaf import (CertificateError, Graph, InstanceSpec, OracleDisagreementError,
+                     StartPolicy, audit, certify, compare, generate, leaf_count,
+                     max_leaf_cds, max_leaf_exact, tight_search, tightness, tree,
+                     verify_spanning_tree)
 
-from helpers import one_lemma_witness
+from helpers import hand_run
 
 
 def test_same_seed_gives_identical_best_instance():
@@ -148,9 +149,14 @@ def test_confirmation_rejects_a_wrong_optimum(monkeypatch, budget, wrong):
 
 
 def test_a_failed_lemma_audit_stops_the_search(monkeypatch):
-    monkeypatch.setattr("maxleaf.certificate.check_lemmas", one_lemma_witness)
-    with pytest.raises(CertificateError, match=r"^lemma audit failed, witness counts "
-                                               r"\(0, 0, 1, 0\)$"):
+    # Every trial is star:5, solved by a run whose ranks the lemma audit finds
+    # a witness in; certify's replay refuses the rule that run breaks.
+    star = generate(InstanceSpec("star", (5,)))
+    run = hand_run(5, 0, [(0, "W2", (1, 2, 3)), (0, "W1", (4,))])
+    monkeypatch.setattr("maxleaf.tightness._random_instance", lambda rng, n_max: star)
+    monkeypatch.setattr("maxleaf.tightness.tree", lambda g, policy=None: run)
+    with pytest.raises(CertificateError,
+                       match="^W2 step at 0 adds 3 of its 4 outside neighbours$"):
         tight_search(10, 50, seed=5)
 
 
@@ -174,8 +180,8 @@ def test_greedy_attains_the_factor_two(n, alg, edges):
     opt = 2 * alg - 1
     t, trace = tree(g)
     assert leaf_count(t) == alg
-    cert, report = certify(g, t, trace)
-    assert cert.upper_bound == opt and report.passed
+    cert, rank = certify(g, t, trace)
+    assert cert.upper_bound == opt and audit(g, t, rank).passed
     cds_opt, witness = max_leaf_cds(g)
     assert cds_opt == opt
     assert verify_spanning_tree(g, witness) and leaf_count(witness) == opt
@@ -194,5 +200,5 @@ def test_maxdeg_start_escapes_the_factor_two(n, alg, edges, maxdeg_alg, bound):
     g = Graph.from_edges(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
     t, trace = tree(g, StartPolicy.max_degree())
     assert leaf_count(t) == maxdeg_alg > alg
-    cert, report = certify(g, t, trace)
-    assert cert.upper_bound == bound and report.passed
+    cert, rank = certify(g, t, trace)
+    assert cert.upper_bound == bound and audit(g, t, rank).passed
